@@ -330,7 +330,7 @@ func (t *Thread) certFor(l *AffineLoop, lo, hi int64, sched uint8, chunk int64) 
 		row := &c.Threads[i]
 		row.TID, row.Cut = 0, 0
 		if cap(row.Dropped) < nd {
-			row.Dropped = make([]uint64, nd)
+			row.Dropped = make([]uint64, nd, lineCap(nd))
 		} else {
 			row.Dropped = row.Dropped[:nd]
 			for j := range row.Dropped {
@@ -344,6 +344,12 @@ func (t *Thread) certFor(l *AffineLoop, lo, hi int64, sched uint8, chunk int64) 
 	tc.endTools = tc.endTools[:0]
 	return tc, true
 }
+
+// lineCap rounds a per-thread counter row of n uint64s up to whole 64-byte
+// cache lines. The Dropped rows and span cursors are written on every
+// dropped access; the allocator places objects of such sizes on line
+// boundaries, so rows of different threads never share a line.
+func lineCap(n int) int { return (n + 7) &^ 7 }
 
 // certState is one thread's view of the active certified loop; pooled on
 // the Thread so steady-state certified loops allocate nothing.
@@ -469,7 +475,7 @@ func (t *Thread) enterAffine(l *AffineLoop, lo, hi int64, sched uint8, chunk int
 	cs.iterOpen = false
 	cs.counts = tc.cert.Threads[t.id].Dropped
 	if cap(cs.nextK) < nd {
-		cs.nextK = make([]uint64, nd)
+		cs.nextK = make([]uint64, nd, lineCap(nd))
 	} else {
 		cs.nextK = cs.nextK[:nd]
 	}

@@ -2,30 +2,34 @@
 // bounded-memory trace collector attached to the omp runtime through the
 // Tool interface.
 //
-// Each thread slot owns a fixed-capacity event buffer. Instrumented
-// accesses and mutex operations append to it; when it reaches capacity the
-// buffer is compressed and written to the slot's log file — asynchronously
-// by default, through a pool of flush workers, so application threads
-// never wait on compression or the file system (the paper's "each thread
-// collects memory accesses into its own buffer ... compresses and writes
-// out the buffer to disk"). Barrier-interval boundaries (region begin/end,
-// barriers, nested forks) emit meta-data records locating each interval
-// fragment's byte range in the log.
+// Each thread slot owns two fixed-capacity event buffers. Instrumented
+// accesses and mutex operations append to one; when it reaches capacity
+// the slot swaps in the other and the full one is compressed and written
+// to the slot's log file — asynchronously by default, through a pool of
+// flush workers, so application threads wait on compression or the file
+// system only when the store falls a whole buffer behind (the paper's
+// "each thread collects memory accesses into its own buffer ... compresses
+// and writes out the buffer to disk"). Barrier-interval boundaries (region
+// begin/end, barriers, nested forks) emit meta-data records locating each
+// interval fragment's byte range in the log.
 //
-// Two invariants keep the hot path scalable:
+// Three invariants keep the hot path scalable:
 //
 //   - Slot lookup is lock-free. The slot table is an atomically published
 //     slice, grown copy-on-write under a mutex only when a new slot first
 //     appears; Access/MutexAcquired/MutexReleased pay one atomic load.
+//   - An access writes only slot-owned state. Event counts are kept by the
+//     slot's encoder and folded into the shared counters once per flushed
+//     buffer, not once per event.
 //   - The flush pipeline preserves per-slot block order while compressing
-//     different slots concurrently: each slot owns a FIFO of pending
-//     buffers and is scheduled on at most one worker at a time, so blocks
-//     of one log are always written in collection order.
+//     different slots concurrently: a slot has at most one block in
+//     flight, because its next fill waits for the other buffer to come
+//     back, so blocks of one log are always written in collection order.
 //
 // The collector's memory use is bounded and application-independent:
-// per slot one event buffer (default 25,000 events ≈ 2 MB backing model)
-// plus fixed auxiliary state — the paper's N × (B + C) formula, surfaced
-// by MemoryModel.
+// per slot two event buffers (default 25,000 events each) plus the log
+// writer's compression staging and fixed auxiliary state — the paper's
+// N × (B + C) formula, surfaced by MemoryModel.
 package rt
 
 import (
@@ -71,8 +75,9 @@ type Config struct {
 	// paper used LZO).
 	Codec compress.Codec
 	// Synchronous disables the asynchronous flush pipeline: buffers are
-	// compressed and written on the application thread. Useful for
-	// deterministic unit tests and the ablation bench.
+	// compressed and written on the application thread, which then needs
+	// only one buffer per slot. Useful for deterministic unit tests and the
+	// ablation bench.
 	Synchronous bool
 	// FlushWorkers bounds the asynchronous flush pipeline's worker pool:
 	// how many slots may compress and write concurrently. 0 picks
@@ -147,16 +152,13 @@ type Collector struct {
 	forkCuts map[uint64]uint64
 	waitCuts map[uint64]uint64
 
-	// Asynchronous flush pipeline: slots with pending buffers are
-	// scheduled on flushCh and drained by flushWorkers workers. queued
-	// buffers are counted in queueLen (for the high-water gauge) and in
-	// pendingWG so Close can drain deterministically.
-	flushCh   chan *slotState
-	flushWG   sync.WaitGroup
-	pendingWG sync.WaitGroup
-	queueLen  atomic.Int64
-	active    atomic.Int64
-	bufPool   sync.Pool // *[]byte (pointer avoids boxing on Put, SA6002)
+	// Asynchronous flush pipeline: full buffers go to flushWorkers
+	// workers on flushCh. inFlight counts blocks handed off and not yet
+	// written (at most one per slot), for the high-water gauge.
+	flushCh  chan flushJob
+	flushWG  sync.WaitGroup
+	inFlight atomic.Int64
+	active   atomic.Int64
 
 	events         atomic.Uint64
 	eventsFiltered atomic.Uint64
@@ -185,6 +187,7 @@ type Collector struct {
 	mFlushLat    *obs.Timer
 	mFlushQueue  *obs.Gauge
 	mFlushActive *obs.Gauge
+	mWaits       *obs.Counter
 	mProtoErrs   *obs.Counter
 	mFlushErrs   *obs.Counter
 }
@@ -192,6 +195,10 @@ type Collector struct {
 // slotState is the per-thread-slot collection state. Only the goroutine
 // currently owning the slot mutates the encoder and fragment state; the
 // flush pipeline owns the log writer, one worker at a time.
+//
+// The slot owns two buffers: the encoder fills one, the other is parked in
+// spare or in flight on a flush worker, which sends it back to spare once
+// written.
 type slotState struct {
 	slot    int
 	enc     trace.Encoder
@@ -209,13 +216,7 @@ type slotState struct {
 	// certified) unit and can retire its pair classes.
 	certForce bool
 
-	// Pending flush queue. qmu orders producers against the draining
-	// worker; queued means the slot is scheduled (or running) on a worker,
-	// which guarantees at most one in-flight compression per slot and
-	// therefore in-order blocks within the log.
-	qmu    sync.Mutex
-	queue  []*[]byte
-	queued bool
+	spare chan []byte
 
 	// degraded is set when a trace write for this slot fails. The policy
 	// for production runs is graceful degradation, not abort: the failure
@@ -267,12 +268,14 @@ func New(store trace.Store, cfg Config) *Collector {
 		c.mFlushLat = m.Timer("rt.flush")
 		c.mFlushQueue = m.Gauge("rt.flush_queue_peak")
 		c.mFlushActive = m.Gauge("rt.flush_active_peak")
+		c.mWaits = m.Counter("rt.backpressure_waits")
 		c.mProtoErrs = m.Counter("rt.protocol_errors")
 		c.mFlushErrs = m.Counter("rt.flush_errors")
 	}
-	c.bufPool.New = func() any { return new([]byte) }
 	if !c.sync {
-		c.flushCh = make(chan *slotState, 256)
+		// Each slot has at most one job pending, so the buffer only spares
+		// producers a handoff wait while every worker is busy.
+		c.flushCh = make(chan flushJob, 256)
 		for w := 0; w < c.flushWorkers; w++ {
 			c.flushWG.Add(1)
 			go c.flushWorker()
@@ -284,29 +287,25 @@ func New(store trace.Store, cfg Config) *Collector {
 	return c
 }
 
-// flushWorker drains scheduled slots. A slot is on the channel at most
-// once (the queued flag), so two workers never touch the same log writer;
-// within one slot, buffers leave the FIFO in collection order.
+// flushJob is one full buffer on its way to its slot's log.
+type flushJob struct {
+	st  *slotState
+	buf []byte
+}
+
+// flushWorker writes handed-off buffers and returns each to its slot. A
+// slot has at most one block in flight, so two workers never touch the
+// same log writer. The buffer goes back on every path — written, dropped
+// for a degraded slot, or failed — or the slot's producer would wait
+// forever.
 func (c *Collector) flushWorker() {
 	defer c.flushWG.Done()
-	for st := range c.flushCh {
+	for job := range c.flushCh {
 		c.mFlushActive.SetMax(c.active.Add(1))
-		for {
-			st.qmu.Lock()
-			if len(st.queue) == 0 {
-				st.queued = false
-				st.qmu.Unlock()
-				break
-			}
-			buf := st.queue[0]
-			st.queue = st.queue[1:]
-			st.qmu.Unlock()
-			c.writeBlock(st, *buf)
-			c.queueLen.Add(-1)
-			c.bufPool.Put(buf)
-			c.pendingWG.Done()
-		}
+		c.writeBlock(job.st, job.buf)
 		c.active.Add(-1)
+		c.inFlight.Add(-1)
+		job.st.spare <- job.buf
 	}
 }
 
@@ -387,11 +386,13 @@ func (c *Collector) newState(slot int) *slotState {
 		}
 	}
 	st := &slotState{
-		slot: slot,
-		log:  trace.NewLogWriter(logSink, c.codec),
-		meta: trace.NewMetaWriter(metaSink),
-		cuts: make(map[trace.IntervalKey]uint64),
+		slot:  slot,
+		log:   trace.NewLogWriter(logSink, c.codec),
+		meta:  trace.NewMetaWriter(metaSink),
+		cuts:  make(map[trace.IntervalKey]uint64),
+		spare: make(chan []byte, 1),
 	}
+	st.spare <- nil // the second buffer, allocated by its first fill
 	if createErr != nil {
 		c.degrade(st, fmt.Sprintf("rt: create trace files for slot %d: %v", slot, createErr))
 	}
@@ -425,40 +426,35 @@ func (c *Collector) snapshot() []*slotState {
 // plus the encoder's pending bytes.
 func (st *slotState) logical() uint64 { return st.flushed + uint64(st.enc.Len()) }
 
-// flush hands the current buffer to the flush pipeline (or writes it
-// inline in synchronous mode) and resets the encoder.
+// flush folds the buffer's event count into the shared counters and hands
+// the buffer to the flush pipeline (or writes it inline in synchronous
+// mode), leaving the encoder empty.
 func (c *Collector) flush(st *slotState) {
 	n := st.enc.Len()
 	if n == 0 {
 		return
 	}
+	events := uint64(st.enc.Events())
+	c.events.Add(events)
+	c.mEvents.Add(events)
+	st.flushed += uint64(n)
 	if c.sync {
 		c.writeBlock(st, st.enc.Bytes())
-	} else {
-		buf := c.bufPool.Get().(*[]byte)
-		*buf = append((*buf)[:0], st.enc.Bytes()...)
-		c.enqueue(st, buf)
+		st.enc.Reset()
+		return
 	}
-	st.flushed += uint64(n)
-	st.enc.Reset()
-}
-
-// enqueue appends a buffer to the slot's FIFO and schedules the slot on a
-// worker unless one already holds it. The queued transition happens under
-// the slot's lock, so a slot is never scheduled twice.
-func (c *Collector) enqueue(st *slotState, buf *[]byte) {
-	c.pendingWG.Add(1)
-	c.mFlushQueue.SetMax(c.queueLen.Add(1))
-	st.qmu.Lock()
-	st.queue = append(st.queue, buf)
-	schedule := !st.queued
-	if schedule {
-		st.queued = true
+	// Take the other buffer back before handing this one off: if it is
+	// still in flight, the producer waits for it (backpressure), which
+	// keeps the slot at two buffers and one block in flight.
+	var free []byte
+	select {
+	case free = <-st.spare:
+	default:
+		c.mWaits.Inc()
+		free = <-st.spare
 	}
-	st.qmu.Unlock()
-	if schedule {
-		c.flushCh <- st
-	}
+	c.mFlushQueue.SetMax(c.inFlight.Add(1))
+	c.flushCh <- flushJob{st: st, buf: st.enc.Swap(free)}
 }
 
 // diag records a protocol diagnostic: the collector keeps collecting, the
@@ -708,8 +704,6 @@ func (c *Collector) LoopCertEnd(th *omp.Thread, cert *trace.LoopCert) {
 }
 
 func (c *Collector) bump(st *slotState) {
-	c.events.Add(1)
-	c.mEvents.Inc()
 	if st.enc.Events() >= c.maxEvents {
 		c.mFills.Inc()
 		c.flush(st)
@@ -736,13 +730,16 @@ func (c *Collector) Close() error {
 		c.flush(st)
 	}
 	if !c.sync {
-		c.pendingWG.Wait() // every queued buffer is on disk
 		close(c.flushCh)
-		c.flushWG.Wait()
+		c.flushWG.Wait() // every handed-off block is on disk
 	}
 	var errs []error
 	degraded := 0
 	for _, st := range states {
+		// A closed collector stays reachable for Stats; it keeps no event
+		// buffers.
+		st.enc.Swap(nil)
+		st.spare = nil
 		wasDegraded := st.degraded.Load()
 		if err := st.log.Close(); err != nil && !wasDegraded {
 			errs = append(errs, err)

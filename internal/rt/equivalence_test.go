@@ -50,6 +50,12 @@ func equivWorkload(seed int64) func(rtm *omp.Runtime) {
 func collectRaw(t *testing.T, cfg Config, program func(*omp.Runtime)) []string {
 	t.Helper()
 	store, _ := collect(t, cfg, program)
+	return slotBlobs(t, store)
+}
+
+// slotBlobs returns each slot's stored log and meta bytes, sorted.
+func slotBlobs(t *testing.T, store trace.Store) []string {
+	t.Helper()
 	slots, err := store.Slots()
 	if err != nil {
 		t.Fatal(err)

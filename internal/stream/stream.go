@@ -258,12 +258,14 @@ func cloneReport(src *report.Report) *report.Report {
 // trace corruption falls back to a post-mortem salvage analysis.
 func (a *Analyzer) Run(ctx context.Context) (*report.Report, error) {
 	defer a.closeTails()
-	var endSeen bool
-	var pcTableLen int
 	for {
 		if err := ctx.Err(); err != nil {
 			return a.Snapshot(), err
 		}
+		// End of run: the collector publishes the pc table last, and
+		// atomically, so a drain that starts after the table is present
+		// sees every record of the run.
+		done := a.endMarker()
 		progress, err := a.round(ctx)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -274,13 +276,9 @@ func (a *Analyzer) Run(ctx context.Context) (*report.Report, error) {
 			// analyze whatever survives in one salvage pass.
 			return a.salvageFallback(ctx, err)
 		}
-		// End of run: the collector writes the pc table last, so once it
-		// is present and stable, one more full drain has seen everything.
-		done, tlen := a.endMarker()
-		if done && endSeen && tlen == pcTableLen && !progress {
+		if done && !progress {
 			return a.finalize(ctx)
 		}
-		endSeen, pcTableLen = done, tlen
 		if !progress {
 			select {
 			case <-time.After(a.cfg.PollInterval):
@@ -291,19 +289,15 @@ func (a *Analyzer) Run(ctx context.Context) (*report.Report, error) {
 }
 
 // endMarker reports whether the end-of-run marker (the pc table aux file)
-// is present, and its current size so the caller can require stability —
-// the file's creation and its contents are not atomic.
-func (a *Analyzer) endMarker() (bool, int) {
+// is present. Aux files are published atomically, so presence means the
+// table is complete.
+func (a *Analyzer) endMarker() bool {
 	aux, err := a.store.OpenAux("pctable")
 	if err != nil {
-		return false, 0
+		return false
 	}
-	defer aux.Close()
-	data, err := io.ReadAll(aux)
-	if err != nil || len(data) == 0 {
-		return false, 0
-	}
-	return true, len(data)
+	aux.Close()
+	return true
 }
 
 // round is one poll-drain-seal-analyze cycle. It returns whether anything
@@ -715,7 +709,7 @@ func (a *Analyzer) finalize(ctx context.Context) (*report.Report, error) {
 // end marker first; a cancelled ctx aborts the wait.
 func (a *Analyzer) salvageFallback(ctx context.Context, cause error) (*report.Report, error) {
 	for {
-		if done, _ := a.endMarker(); done {
+		if a.endMarker() {
 			break
 		}
 		select {

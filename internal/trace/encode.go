@@ -51,6 +51,17 @@ func (e *Encoder) Reset() {
 	e.events = 0
 }
 
+// Swap installs buf, emptied, as the encoder's buffer, resets the delta
+// state, and returns the previous buffer with its encoded bytes. A
+// double-buffering producer hands the returned buffer off without a copy.
+func (e *Encoder) Swap(buf []byte) []byte {
+	full := e.buf
+	e.buf = buf[:0]
+	e.prevAddr = 0
+	e.events = 0
+	return full
+}
+
 // Bytes returns the encoded buffer. The slice is invalidated by further
 // writes or Reset.
 func (e *Encoder) Bytes() []byte { return e.buf }

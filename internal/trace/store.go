@@ -22,7 +22,9 @@ type Store interface {
 	CreateLog(slot int) (io.WriteCloser, error)
 	// CreateMeta opens the meta-data file of a thread slot for writing.
 	CreateMeta(slot int) (io.WriteCloser, error)
-	// CreateAux opens a named auxiliary file for writing.
+	// CreateAux opens a named auxiliary file for writing. The file is
+	// published atomically on Close: until then OpenAux sees no file (or
+	// the previous complete one), never a partial write.
 	CreateAux(name string) (io.WriteCloser, error)
 	// OpenLog opens the log file of a thread slot for reading.
 	OpenLog(slot int) (io.ReadCloser, error)
@@ -51,10 +53,12 @@ type DirStore struct {
 }
 
 // dirFile is a DirStore writer: it counts written bytes into the store's
-// total and deregisters itself on Close. Close is idempotent.
+// total and deregisters itself on Close. Close is idempotent. An aux
+// writer (final set) writes a temporary file that Close renames to final.
 type dirFile struct {
 	f      *os.File
 	s      *DirStore
+	final  string
 	closed bool
 }
 
@@ -66,7 +70,12 @@ func (w *dirFile) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func (w *dirFile) Close() error {
+func (w *dirFile) Close() error { return w.close(true) }
+
+// close releases the file. An aux file is renamed into place only when
+// publish is set and the close succeeded; otherwise its temporary is
+// removed, so a torn aux file is never visible.
+func (w *dirFile) close(publish bool) error {
 	w.s.mu.Lock()
 	if w.closed {
 		w.s.mu.Unlock()
@@ -75,7 +84,15 @@ func (w *dirFile) Close() error {
 	w.closed = true
 	delete(w.s.open, w)
 	w.s.mu.Unlock()
-	return w.f.Close()
+	err := w.f.Close()
+	if w.final == "" {
+		return err
+	}
+	if err == nil && publish {
+		return os.Rename(w.f.Name(), w.final)
+	}
+	os.Remove(w.f.Name())
+	return err
 }
 
 // NewDirStore creates the directory if needed and returns a store over it.
@@ -101,12 +118,12 @@ func (s *DirStore) auxPath(name string) string {
 	return filepath.Join(s.dir, "sword_"+name+".aux")
 }
 
-func (s *DirStore) create(path string) (io.WriteCloser, error) {
+func (s *DirStore) create(path, final string) (io.WriteCloser, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	w := &dirFile{f: f, s: s}
+	w := &dirFile{f: f, s: s, final: final}
 	s.mu.Lock()
 	s.open[w] = struct{}{}
 	s.mu.Unlock()
@@ -114,13 +131,19 @@ func (s *DirStore) create(path string) (io.WriteCloser, error) {
 }
 
 // CreateLog implements Store.
-func (s *DirStore) CreateLog(slot int) (io.WriteCloser, error) { return s.create(s.logPath(slot)) }
+func (s *DirStore) CreateLog(slot int) (io.WriteCloser, error) { return s.create(s.logPath(slot), "") }
 
 // CreateMeta implements Store.
-func (s *DirStore) CreateMeta(slot int) (io.WriteCloser, error) { return s.create(s.metaPath(slot)) }
+func (s *DirStore) CreateMeta(slot int) (io.WriteCloser, error) {
+	return s.create(s.metaPath(slot), "")
+}
 
-// CreateAux implements Store.
-func (s *DirStore) CreateAux(name string) (io.WriteCloser, error) { return s.create(s.auxPath(name)) }
+// CreateAux implements Store: the file is written as <name>.tmp and
+// renamed into place on Close.
+func (s *DirStore) CreateAux(name string) (io.WriteCloser, error) {
+	path := s.auxPath(name)
+	return s.create(path+".tmp", path)
+}
 
 // OpenLog implements Store.
 func (s *DirStore) OpenLog(slot int) (io.ReadCloser, error) { return os.Open(s.logPath(slot)) }
@@ -177,8 +200,8 @@ func (s *DirStore) OpenWriters() int {
 // with errors.Join — on a full disk each file's close can fail for its own
 // reason, and dropping all but the first hides which files lost data.
 // An orderly run has none (the collector closes its own); Close makes the
-// teardown deterministic regardless. Idempotent; reads remain valid
-// afterwards.
+// teardown deterministic regardless. An abandoned aux writer is discarded,
+// not published. Idempotent; reads remain valid afterwards.
 func (s *DirStore) Close() error {
 	s.mu.Lock()
 	remaining := make([]*dirFile, 0, len(s.open))
@@ -188,7 +211,7 @@ func (s *DirStore) Close() error {
 	s.mu.Unlock()
 	var errs []error
 	for _, w := range remaining {
-		if err := w.Close(); err != nil {
+		if err := w.close(false); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -241,13 +264,31 @@ func (s *MemStore) CreateLog(slot int) (io.WriteCloser, error) { return s.create
 // CreateMeta implements Store.
 func (s *MemStore) CreateMeta(slot int) (io.WriteCloser, error) { return s.createIn(s.metas, slot) }
 
+// memAuxWriter buffers an aux file privately and publishes it into the
+// store on Close.
+type memAuxWriter struct {
+	s    *MemStore
+	name string
+	buf  bytes.Buffer
+	done bool
+}
+
+func (w *memAuxWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
+
+func (w *memAuxWriter) Close() error {
+	w.s.mu.Lock()
+	defer w.s.mu.Unlock()
+	if !w.done {
+		w.done = true
+		w.s.total += uint64(w.buf.Len())
+		w.s.aux[w.name] = &w.buf
+	}
+	return nil
+}
+
 // CreateAux implements Store.
 func (s *MemStore) CreateAux(name string) (io.WriteCloser, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	buf := &bytes.Buffer{}
-	s.aux[name] = buf
-	return memWriter{s: s, buf: buf}, nil
+	return &memAuxWriter{s: s, name: name}, nil
 }
 
 func (s *MemStore) openIn(m map[int]*bytes.Buffer, slot int) (io.ReadCloser, error) {

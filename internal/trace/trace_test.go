@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"strings"
@@ -86,6 +87,27 @@ func TestEncoderReset(t *testing.T) {
 	enc.Access(0x5000, 8, false, false, 1)
 	if !bytes.Equal(first, enc.Bytes()) {
 		t.Fatal("Reset did not clear delta state")
+	}
+}
+
+func TestEncoderSwap(t *testing.T) {
+	var enc Encoder
+	enc.Access(0x5000, 8, false, false, 1)
+	want := append([]byte(nil), enc.Bytes()...)
+	spare := make([]byte, 3, 64)
+	full := enc.Swap(spare)
+	if !bytes.Equal(full, want) {
+		t.Fatalf("Swap returned % x, want % x", full, want)
+	}
+	if enc.Len() != 0 || enc.Events() != 0 {
+		t.Fatalf("after Swap: len %d, events %d", enc.Len(), enc.Events())
+	}
+	enc.Access(0x5000, 8, false, false, 1)
+	if !bytes.Equal(enc.Bytes(), want) {
+		t.Fatal("Swap did not clear delta state")
+	}
+	if &enc.Bytes()[0] != &spare[:1][0] {
+		t.Fatal("Swap copied instead of installing the given buffer")
 	}
 }
 
@@ -398,6 +420,64 @@ func TestAuxFiles(t *testing.T) {
 		r.Close()
 		if _, err := store.OpenAux("missing"); err == nil {
 			t.Error("OpenAux(missing) succeeded")
+		}
+	}
+}
+
+// TestAuxPublishAtomic polls OpenAux from a second goroutine while a
+// multi-write CreateAux is in progress: every read must see either no file
+// or the whole file, never a prefix.
+func TestAuxPublishAtomic(t *testing.T) {
+	chunk := bytes.Repeat([]byte("0123456789abcdef"), 256)
+	const writes = 64
+	want := bytes.Repeat(chunk, writes)
+	for _, store := range []Store{NewMemStore(), mustDirStore(t)} {
+		w, err := store.CreateAux("pctable")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		seen := make(chan error, 1)
+		go func() {
+			var bad error
+			for {
+				select {
+				case <-stop:
+					seen <- bad
+					return
+				default:
+				}
+				r, err := store.OpenAux("pctable")
+				if err != nil {
+					continue
+				}
+				data, err := io.ReadAll(r)
+				r.Close()
+				if bad == nil && (err != nil || !bytes.Equal(data, want)) {
+					bad = fmt.Errorf("%T: read %d of %d bytes (%v)", store, len(data), len(want), err)
+				}
+			}
+		}()
+		for i := 0; i < writes; i++ {
+			if _, err := w.Write(chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		if err := <-seen; err != nil {
+			t.Error(err)
+		}
+		r, err := store.OpenAux("pctable")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(r)
+		r.Close()
+		if !bytes.Equal(data, want) {
+			t.Errorf("%T: published %d bytes, want %d", store, len(data), len(want))
 		}
 	}
 }

@@ -11,7 +11,17 @@ set -eu
 
 GO=${GO:-go}
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/sword-dist-smoke.XXXXXX")
-trap 'rm -rf "$tmp"' EXIT
+# Whatever way the script ends — success, a failed check, a coordinator
+# that never came up, or an interrupt — no sworddist process outlives it.
+coord= w1= w2=
+cleanup() {
+    for pid in $coord $w1 $w2; do
+        kill "$pid" 2>/dev/null || true
+    done
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
+trap 'exit 1' HUP INT TERM
 
 $GO build -o "$tmp/swordrun" ./cmd/swordrun
 $GO build -o "$tmp/swordoffline" ./cmd/swordoffline
@@ -44,12 +54,14 @@ w1=$!
 "$tmp/sworddist" -logdir "$tmp/trace" -join "$addr" -name smoke-b -wire-codec raw >/dev/null &
 w2=$!
 wait $coord || [ $? -eq 3 ]
+coord=
 # The trace is tiny: the first worker can drain the whole plan before the
 # second finishes its handshake, and a worker that connects as the
 # coordinator exits sees a reset. The differential below judges the
 # coordinator's merged report, so late-worker exits are tolerated.
 wait $w1 || true
 wait $w2 || true
+w1= w2=
 
 races "$tmp/single.out" >"$tmp/single.races"
 if ! races "$tmp/local.out" | cmp -s "$tmp/single.races" -; then

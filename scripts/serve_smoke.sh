@@ -12,6 +12,7 @@ GO=${GO:-go}
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/sword-serve-smoke.XXXXXX")
 server=
 trap 'rm -rf "$tmp"; [ -n "$server" ] && kill "$server" 2>/dev/null || true' EXIT
+trap 'exit 1' HUP INT TERM
 
 $GO build -o "$tmp/swordrun" ./cmd/swordrun
 $GO build -o "$tmp/swordoffline" ./cmd/swordoffline

@@ -9,17 +9,26 @@ set -eu
 
 GO=${GO:-go}
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/sword-stream-smoke.XXXXXX")
-runner=
-trap 'rm -rf "$tmp"; [ -n "$runner" ] && kill "$runner" 2>/dev/null || true' EXIT
+# Whatever way the script ends — success, a failed check, or an
+# interrupt — neither swordrun nor swordwatch outlives it.
+runner= watcher=
+cleanup() {
+    for pid in $runner $watcher; do
+        kill "$pid" 2>/dev/null || true
+    done
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
+trap 'exit 1' HUP INT TERM
 
 $GO build -o "$tmp/swordrun" ./cmd/swordrun
 $GO build -o "$tmp/swordwatch" ./cmd/swordwatch
 $GO build -o "$tmp/swordoffline" ./cmd/swordoffline
 
-# Start the collection in the background. swordrun exits 3 when the
-# workload races — expected; anything else is a real failure.
-( "$tmp/swordrun" -w c_jacobi -tool sword -live-flush -logdir "$tmp/trace" >/dev/null 2>&1; \
-  rc=$?; [ "$rc" -eq 3 ] || [ "$rc" -eq 0 ] || echo "$rc" >"$tmp/runner.fail" ) &
+# Start the collection in the background, as a direct child so cleanup
+# can kill it. swordrun exits 3 when the workload races — expected;
+# anything else is a real failure.
+"$tmp/swordrun" -w c_jacobi -tool sword -live-flush -logdir "$tmp/trace" >/dev/null 2>&1 &
 runner=$!
 
 # Attach the watcher as soon as the trace directory exists. It tails the
@@ -30,12 +39,17 @@ for _ in $(seq 1 100); do
     sleep 0.05
 done
 [ -d "$tmp/trace" ] || { echo "stream-smoke: collection never created $tmp/trace" >&2; exit 1; }
-"$tmp/swordwatch" -logdir "$tmp/trace" >"$tmp/watch.out" || [ $? -eq 3 ]
+# In the background too, so an interrupt reaches the trap at once.
+"$tmp/swordwatch" -logdir "$tmp/trace" >"$tmp/watch.out" &
+watcher=$!
+wait "$watcher" || [ $? -eq 3 ]
+watcher=
 
-wait "$runner" || true
+rc=0
+wait "$runner" || rc=$?
 runner=
-[ ! -f "$tmp/runner.fail" ] || {
-    echo "stream-smoke: swordrun failed with exit $(cat "$tmp/runner.fail")" >&2; exit 1; }
+[ "$rc" -eq 0 ] || [ "$rc" -eq 3 ] || {
+    echo "stream-smoke: swordrun failed with exit $rc" >&2; exit 1; }
 
 # The post-mortem baseline on the very same trace.
 "$tmp/swordoffline" -logdir "$tmp/trace" >"$tmp/offline.out" || [ $? -eq 3 ]
