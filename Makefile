@@ -14,7 +14,7 @@ FAST_PKGS = . ./internal/archer ./internal/compress ./internal/core \
 	./internal/report ./internal/rt ./internal/server ./internal/stream \
 	./internal/trace ./internal/vc ./internal/workloads
 
-.PHONY: build test check fmt vet race bench bench-smoke dist-smoke serve-smoke stream-smoke fuzz profile
+.PHONY: build test check fmt vet race bench bench-smoke dist-smoke serve-smoke stream-smoke fuzz profile leftovers
 
 build:
 	$(GO) build ./...
@@ -109,5 +109,15 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof ./internal/harness
 	@echo "wrote cpu.pprof and mem.pprof"
 
+# Fails, and lists them, when a smoke or benchmark left one of the repo's
+# binaries running. Each pattern brackets one character so that it cannot
+# match the command line of the shell running this recipe.
+leftovers:
+	@left="$$(pgrep -af '[s]worddist|[s]wordserve|[s]wordrun|[s]wordwatch|[.]bench_build/bench' || true)"; \
+	if [ -n "$$left" ]; then \
+		echo "processes left running:"; echo "$$left"; exit 1; \
+	fi
+
 check: vet fmt build race fuzz bench-smoke dist-smoke serve-smoke stream-smoke
+	@$(MAKE) --no-print-directory leftovers
 	@echo "check: ok"

@@ -129,6 +129,13 @@ type Analyzer struct {
 	// (full-stream) pass over the logs.
 	salvMu   sync.Mutex
 	slotSalv map[int]*slotSalvage
+
+	// blockBufs keeps the slot pipelines' block buffers between slots, so
+	// SubtreeBatch batches and distributed work lists re-stream the logs
+	// without reallocating them. A running pipeline holds exactly two and
+	// at most workers slots stream at once, so it holds two per worker.
+	bufsOnce  sync.Once
+	blockBufs chan []byte
 }
 
 // slotSalvage is what salvage-mode log streaming learned about one slot.
@@ -525,6 +532,12 @@ func (a *Analyzer) buildTrees(ctx context.Context, s *structure, workers int, in
 		slots = append(slots, slot)
 	}
 	sort.Ints(slots)
+	a.bufsOnce.Do(func() {
+		a.blockBufs = make(chan []byte, 2*workers)
+		for range 2 * workers {
+			a.blockBufs <- nil // grown to the block size on first use
+		}
+	})
 	sem := make(chan struct{}, workers)
 	errs := make(chan error, len(slots))
 	var wg sync.WaitGroup
@@ -547,34 +560,62 @@ func (a *Analyzer) buildTrees(ctx context.Context, s *structure, workers int, in
 	return nil
 }
 
-// slotCursor walks a slot's interval fragments in log order.
+// slotCursor walks a slot's interval fragments in log order, and owns the
+// lifetime of the units it builds: a unit is finalized — its slab sorted
+// into the finished run and handed back to the pool — once the cursor has
+// passed the unit's last fragment. A slot's build scratch is thus bounded
+// by the units open at the cursor, not by the intervals in its log.
 type slotCursor struct {
 	spans []fragSpan
-	idx   int
+	idx   int // the span at or after the last visited position
+	done  int // spans before done are settled
 	held  trace.MutexSet
+
+	compact      bool   // finalize merges neighbouring runs (!Config.NoCompact)
+	open, peak   int    // units entered and not yet finalized; high-water
+	builderBytes uint64 // bytes held by the runs finalized so far
 }
 
+// fragSpan is one fragment in cursor order. unit is nil outside this
+// pass; last marks the fragment whose passing finalizes unit, and cert
+// that a voided certificate's dropped accesses go into unit first.
 type fragSpan struct {
 	begin, end uint64
-	iv         *interval
 	unit       *treeUnit
 	held       trace.MutexSet
+	last, cert bool
 }
 
-func newSlotCursor(ivs []*interval, include map[uint64]bool, only map[*interval]bool, probe bool) *slotCursor {
-	c := &slotCursor{}
+// newSlotCursor lays out the slot's fragments and materializes the units
+// of the intervals this pass builds (in include and only, not
+// quarantined). A unit's last span is its fragment with the largest end:
+// fragments of one interval can share a begin (a zero-length fragment
+// beside a full one), and only the end proves no later position lands in
+// the unit. Excluded intervals cost one plain span per fragment.
+func newSlotCursor(ivs []*interval, include map[uint64]bool, only map[*interval]bool, probe, compact bool) *slotCursor {
+	c := &slotCursor{compact: compact}
 	for _, iv := range ivs {
 		included := (include == nil || include[iv.region.top.id]) &&
 			(only == nil || only[iv]) && !iv.quarantined
-		if included {
-			iv.materializeUnits(probe)
-		}
-		for _, f := range iv.frags {
-			unit := f.unit // nil when excluded from this batch
-			if !included {
-				unit = nil
+		if !included {
+			for _, f := range iv.frags {
+				c.spans = append(c.spans, fragSpan{begin: f.begin, end: f.begin + f.size, held: f.held})
 			}
-			c.spans = append(c.spans, fragSpan{begin: f.begin, end: f.begin + f.size, iv: iv, unit: unit, held: f.held})
+			continue
+		}
+		iv.materializeUnits(probe)
+		last := 0 // closing fragment of a single-unit interval
+		for i, f := range iv.frags {
+			if f.begin+f.size >= iv.frags[last].begin+iv.frags[last].size {
+				last = i
+			}
+		}
+		cu := certUnit(iv)
+		for i, f := range iv.frags {
+			sp := fragSpan{begin: f.begin, end: f.begin + f.size, unit: f.unit, held: f.held,
+				last: iv.taskParent || i == last}
+			sp.cert = sp.last && f.unit == cu
+			c.spans = append(c.spans, sp)
 		}
 	}
 	sort.Slice(c.spans, func(i, j int) bool { return c.spans[i].begin < c.spans[j].begin })
@@ -602,30 +643,67 @@ func (c *slotCursor) at(pos uint64) (*treeUnit, bool) {
 	return sp.unit, true
 }
 
-func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, include map[uint64]bool, only map[*interval]bool, countIO bool) error {
-	defer func() {
-		// Finalize only the intervals this pass actually built: an excluded
-		// interval may hold runs resident from an earlier batch that are
-		// already finalized — sorting or rebalancing those for nothing is
-		// wasted work at best.
-		var builderBytes uint64
-		for _, iv := range s.bySlot[slot] {
-			if include != nil && !include[iv.region.top.id] {
-				continue
-			}
-			if only != nil && !only[iv] {
-				continue
-			}
-			if iv.cert != nil && !iv.cert.retire {
-				// Voided or untrusted certificate: reconstruct the dropped
-				// access prefix before the unit's runs are sorted.
-				materializeCert(iv)
-			}
-			for _, u := range iv.units {
-				builderBytes += u.finalize(!a.cfg.NoCompact)
-			}
+// settle finalizes the units whose last fragment the cursor passed since
+// the previous call, and opens the unit of the span it now sits at. The
+// decoder calls it once per block, which keeps at — inlined into the
+// per-event loop — free of it; no access can reach a passed span, so the
+// delay changes nothing but when the slab returns to the pool.
+func (c *slotCursor) settle() {
+	for ; c.done < c.idx; c.done++ {
+		sp := &c.spans[c.done]
+		c.enter(sp)
+		if sp.last {
+			c.close(sp)
 		}
-		a.cfg.Obs.Counter("core.run_builder_bytes").Add(builderBytes)
+	}
+	if c.idx < len(c.spans) {
+		c.enter(&c.spans[c.idx])
+	}
+}
+
+// enter opens the span's unit when the cursor first reaches one of its
+// fragments.
+func (c *slotCursor) enter(sp *fragSpan) {
+	if u := sp.unit; u != nil && !u.entered {
+		u.entered = true
+		c.open++
+		c.peak = max(c.peak, c.open)
+	}
+}
+
+// close finalizes the unit whose last fragment sp is.
+func (c *slotCursor) close(sp *fragSpan) {
+	u := sp.unit
+	if sp.cert {
+		materializeCert(u.iv, u)
+	}
+	c.builderBytes += u.finalize(c.compact)
+	if u.entered {
+		c.open--
+	}
+}
+
+// finish finalizes every remaining unit: those whose last fragment the
+// cursor passed in the final block, those still open when the log ended,
+// and those it never reached.
+func (c *slotCursor) finish() {
+	c.settle()
+	for ; c.done < len(c.spans); c.done++ {
+		if sp := &c.spans[c.done]; sp.last {
+			c.close(sp)
+		}
+	}
+}
+
+func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, include map[uint64]bool, only map[*interval]bool, countIO bool) error {
+	// Only the intervals this pass builds get units finalized: an excluded
+	// interval may hold runs resident from an earlier batch that are
+	// already finalized.
+	cur := newSlotCursor(s.bySlot[slot], include, only, a.cfg.ProbeEngine, !a.cfg.NoCompact)
+	defer func() {
+		cur.finish()
+		a.cfg.Obs.Counter("core.run_builder_bytes").Add(cur.builderBytes)
+		a.cfg.Obs.Gauge("core.open_units_peak").SetMax(int64(cur.peak))
 	}()
 	src, err := a.store.OpenLog(slot)
 	if err != nil {
@@ -647,7 +725,6 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 		lr.SetTolerant(true)
 		ss = &slotSalvage{}
 	}
-	cur := newSlotCursor(s.bySlot[slot], include, only, a.cfg.ProbeEngine)
 	// In batched mode a block whose logical span intersects none of the
 	// batch's fragments holds only data this pass would decode and throw
 	// away; skip its compressed payload entirely. Blocks arrive in
@@ -674,77 +751,29 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 			return wIdx >= len(wanted) || wanted[wIdx][0] >= end
 		}
 	}
-	// The block stream is a two-stage pipeline: a reader goroutine pulls
-	// blocks off the log (seek, CRC, decompress) while this goroutine
-	// decodes the previous ones into the trees. Blocks flow through a
-	// bounded channel in log order, so the cursor and the running mutex
-	// set see positions in exactly the sequence the sequential loop did —
-	// per-slot decode order is the semantic invariant; only the I/O and
-	// decompression overlap it. Payloads are copied into pooled buffers
-	// because the LogReader reuses its staging slice on the next read.
-	blocks := make(chan blockBuf, decodePipelineDepth)
-	readErr := make(chan error, 1)
-	go func() {
-		defer close(blocks)
-		for {
-			if err := ctx.Err(); err != nil {
-				readErr <- err
-				return
-			}
-			start, raw, err := lr.NextFrom(skipBlock)
-			if err == io.EOF {
-				readErr <- nil
-				return
-			}
-			if err != nil {
-				readErr <- fmt.Errorf("core: read log %d: %w", slot, err)
-				return
-			}
-			bp := blockBufPool.Get().(*[]byte)
-			*bp = append((*bp)[:0], raw...)
-			select {
-			case blocks <- blockBuf{start: start, buf: bp}:
-			case <-ctx.Done():
-				blockBufPool.Put(bp)
-				readErr <- ctx.Err()
-				return
-			}
-		}
-	}()
-	// Fatal decode errors must drain the channel before returning: the
-	// deferred lr.Close must not run while the reader goroutine still
-	// touches the reader, and pooled buffers in flight would leak.
-	drain := func() {
-		for bb := range blocks {
-			blockBufPool.Put(bb.buf)
-		}
-		<-readErr
-	}
+	p := startBlockPipeline(ctx, lr, skipBlock, slot, a.blockBufs)
+	defer p.release(a.blockBufs)
 	var dec trace.Decoder
 	var ev trace.Event
 	var events uint64
 	maxDepth := 0
-	for bb := range blocks {
-		if d := len(blocks) + 1; d > maxDepth {
-			maxDepth = d
-		}
-		start, raw := bb.start, *bb.buf
-		dec.Reset(raw)
+	for b := range p.blocks {
+		maxDepth = max(maxDepth, len(p.blocks)+1)
+		dec.Reset(b.raw)
 		for dec.More() {
-			pos := start + uint64(dec.Pos())
+			pos := b.start + uint64(dec.Pos())
 			if err := dec.Next(&ev); err != nil {
 				if ss != nil {
 					// The block passed its CRC but the event stream inside
 					// is malformed: write the rest of the block off as lost
 					// and resync at the next block boundary.
-					end := start + uint64(len(raw))
+					end := b.start + uint64(len(b.raw))
 					ss.extraLost = append(ss.extraLost, [2]uint64{pos, end})
 					ss.notes = append(ss.notes,
 						fmt.Sprintf("slot %d: undecodable events in [%d, %d): %v", slot, pos, end, err))
 					break
 				}
-				blockBufPool.Put(bb.buf)
-				drain()
+				p.abort(b.raw)
 				return fmt.Errorf("core: decode log %d at %d: %w", slot, pos, err)
 			}
 			events++
@@ -761,8 +790,7 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 						// stream; the access has no home, drop it.
 						continue
 					}
-					blockBufPool.Put(bb.buf)
-					drain()
+					p.abort(b.raw)
 					return fmt.Errorf("core: slot %d access at %d outside any interval fragment", slot, pos)
 				}
 				if unit == nil {
@@ -778,9 +806,10 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 				})
 			}
 		}
-		blockBufPool.Put(bb.buf)
+		cur.settle()
+		p.free <- b.raw
 	}
-	if err := <-readErr; err != nil {
+	if err := <-p.err; err != nil {
 		return err
 	}
 	// End of stream: the reader goroutine is done, so the LogReader's
@@ -813,23 +842,102 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 	return nil
 }
 
-// blockBuf carries one decompressed block from the log-reading stage to
-// the decoding stage of the per-slot build pipeline.
-type blockBuf struct {
-	start uint64  // logical position of the block's first event byte
-	buf   *[]byte // pooled payload copy; returned to blockBufPool after decode
+// blockPipeline is one slot's two-stage block stream: a reader goroutine
+// pulls blocks off the log (seek, CRC, decompress) straight into one of
+// exactly two buffers while the caller decodes the other, and the caller
+// hands each decoded buffer back through free. At most one block is read
+// ahead, so a slot's staging memory is two blocks whatever the log's
+// length, and blocks reach the decoder in log order — the cursor and the
+// running mutex set see positions in exactly the sequential order.
+type blockPipeline struct {
+	blocks chan logBlock // filled buffers in log order; closed when the reader exits
+	free   chan []byte   // buffers the reader may fill; holds both once drained
+	err    chan error    // the reader's outcome: nil at a clean end of log
+	cancel context.CancelFunc
 }
 
-// decodePipelineDepth bounds how many decompressed blocks the reading
-// stage may run ahead of the decoder — enough to hide I/O and
-// decompression latency, small enough to keep per-slot staging memory
-// bounded (depth × block size).
-const decodePipelineDepth = 4
+// logBlock is one decompressed block: the logical position of its first
+// event byte and its payload, which is one of the pipeline's two buffers.
+type logBlock struct {
+	start uint64
+	raw   []byte
+}
 
-var blockBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 256<<10)
-	return &b
-}}
+// startBlockPipeline takes two buffers from stash and starts the reader
+// goroutine over lr. The caller ranges over blocks, returns every buffer
+// to free, and then reads err; to stop early it calls abort instead.
+// Either way the reader has exited before the caller may close lr, and
+// release then hands both buffers back to stash.
+func startBlockPipeline(ctx context.Context, lr *trace.LogReader, skip func(start, rawLen uint64) bool, slot int, stash <-chan []byte) *blockPipeline {
+	ctx, cancel := context.WithCancel(ctx)
+	p := &blockPipeline{
+		// Both channels hold every buffer there is, so no send blocks.
+		blocks: make(chan logBlock, 2),
+		free:   make(chan []byte, 2),
+		err:    make(chan error, 1),
+		cancel: cancel,
+	}
+	p.free <- <-stash
+	p.free <- <-stash
+	go func() {
+		defer close(p.blocks)
+		for {
+			var buf []byte
+			select {
+			case buf = <-p.free:
+			case <-ctx.Done():
+				p.err <- ctx.Err()
+				return
+			}
+			if err := ctx.Err(); err != nil {
+				p.free <- buf
+				p.err <- err
+				return
+			}
+			start, raw, err := lr.NextInto(buf, skip)
+			if err != nil {
+				p.free <- buf
+				if err == io.EOF {
+					err = nil
+				} else {
+					err = fmt.Errorf("core: read log %d: %w", slot, err)
+				}
+				p.err <- err
+				return
+			}
+			p.blocks <- logBlock{start: start, raw: raw}
+		}
+	}()
+	return p
+}
+
+// abort stops the pipeline after a fatal decode error in the block whose
+// buffer is held: it cancels the reader, takes back every buffer, and
+// waits for the reader to exit.
+func (p *blockPipeline) abort(held []byte) {
+	p.cancel()
+	p.free <- held
+	for b := range p.blocks {
+		p.free <- b.raw
+	}
+	<-p.err
+}
+
+// release hands the pipeline's two buffers back to stash. The reader has
+// exited by then — the caller read err or aborted — so both are in free;
+// only a panic in the decoder leaves one in flight, and release must not
+// block the unwinding on it: the stash gets a fresh slot instead.
+func (p *blockPipeline) release(stash chan<- []byte) {
+	p.cancel()
+	for range 2 {
+		select {
+		case buf := <-p.free:
+			stash <- buf
+		default:
+			stash <- nil
+		}
+	}
+}
 
 // enumeratePairs lists every pair of concurrent tree units. Same-region
 // intervals pair within a barrier id; cross-region concurrency only arises

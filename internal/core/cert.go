@@ -137,30 +137,39 @@ func descendantForkedAt(s *structure, r *region, bid uint64) bool {
 	return false
 }
 
-// materializeCert reconstructs the interval's dropped access prefix and
-// inserts it into the owning tree unit, before finalize sorts the unit's
-// runs. Dropped accesses carry no mutexes by construction (the runtime
-// stops dropping at the first lock acquisition), so the empty held set is
-// exact, not an approximation.
-func materializeCert(iv *interval) {
+// certUnit returns the tree unit a voided or untrusted certificate's
+// dropped accesses belong to, or nil when the interval has none to
+// rematerialize (no certificate, a retired one, or an empty row).
+func certUnit(iv *interval) *treeUnit {
 	ci := iv.cert
-	c := &ci.c
-	row := ci.certRowOf(iv)
-	if row < 0 || rowDropped(&c.Threads[row]) == 0 || len(iv.units) == 0 {
-		return
+	if ci == nil || ci.retire || len(iv.units) == 0 {
+		return nil
 	}
-	u := iv.units[0]
+	row := ci.certRowOf(iv)
+	if row < 0 || rowDropped(&ci.c.Threads[row]) == 0 {
+		return nil
+	}
 	if iv.taskParent {
 		// Per-fragment units: the certificate recorded the fragment cut
 		// the loop armed in; place the accesses there.
-		cut := c.Threads[row].Cut
+		cut := ci.c.Threads[row].Cut
 		for _, cand := range iv.units {
 			if cand.cut == cut {
-				u = cand
-				break
+				return cand
 			}
 		}
 	}
+	return iv.units[0]
+}
+
+// materializeCert reconstructs the interval's dropped access prefix and
+// inserts it into u, the unit certUnit names, after the log's accesses
+// for u and before finalize sorts its runs. Dropped accesses carry no
+// mutexes by construction (the runtime stops dropping at the first lock
+// acquisition), so the empty held set is exact, not an approximation.
+func materializeCert(iv *interval, u *treeUnit) {
+	c := &iv.cert.c
+	row := iv.cert.certRowOf(iv)
 	for d := range c.Decls {
 		decl := &c.Decls[d]
 		a := itree.Access{Width: decl.Elem, Write: decl.Write, PC: decl.PC}

@@ -112,6 +112,10 @@ type treeUnit struct {
 	sum    itree.Summary
 	hasSum bool
 
+	// entered records that the slot cursor has reached one of the unit's
+	// fragments: the unit is open from then until it is finalized.
+	entered bool
+
 	// flat caches the unit's runs in ascending Low order, reused by
 	// every sweep comparison the unit joins. The builder path fills it in
 	// finalize (before any comparison runs); the probe path flattens the
@@ -130,10 +134,11 @@ func (u *treeUnit) insert(a itree.Access) {
 	u.build.Insert(a)
 }
 
-// finalize completes the unit after its slot's log streamed: the builder
-// path sorts the slab into the flattened run and computes the pre-filter
+// finalize completes the unit once the slot cursor has passed its last
+// fragment (or the log ended): the builder path sorts the slab into the
+// flattened run, returns the slab to the pool, and computes the pre-filter
 // summary; the probe path compacts the tree (its flatten stays lazy).
-// Returns the builder slab bytes for the core.run_builder_bytes counter
+// Returns the finished run's bytes for the core.run_builder_bytes counter
 // (zero on the probe path).
 func (u *treeUnit) finalize(compact bool) uint64 {
 	if u.probe {
@@ -210,6 +215,7 @@ func (u *treeUnit) resetTree() {
 	u.build.Reset()
 	u.sum = itree.Summary{}
 	u.hasSum = false
+	u.entered = false
 	u.flatOnce = sync.Once{}
 	u.flat = nil
 }

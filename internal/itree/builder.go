@@ -83,7 +83,7 @@ type Summary struct {
 	AnyWrite      bool           // at least one node writes
 	AllAtomic     bool           // every node is atomic
 	CommonMutexes trace.MutexSet // mutexes held across every node
-	Bytes         uint64         // peak slab capacity in bytes, for memory accounting
+	Bytes         uint64         // bytes the finished run holds, for memory accounting
 }
 
 // Len returns the current number of summarized nodes (after Finish, the
@@ -235,7 +235,7 @@ func (b *Builder) Finish(compact bool) ([]Run, Summary) {
 	sum := Summary{
 		AllAtomic:     true,
 		CommonMutexes: ^trace.MutexSet(0),
-		Bytes:         uint64(cap(b.runs)) * uint64(unsafe.Sizeof(Run{})),
+		Bytes:         uint64(cap(flat)) * uint64(unsafe.Sizeof(Run{})),
 	}
 	if len(flat) == 0 {
 		sum.Low, sum.High = 1, 0

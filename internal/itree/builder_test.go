@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"sword/internal/trace"
 )
@@ -140,8 +141,8 @@ func TestBuilderSummary(t *testing.T) {
 			t.Fatalf("summary %+v want write=%v atomic=%v common=%x",
 				sum, anyWrite, allAtomic, uint64(common))
 		}
-		if sum.Bytes == 0 {
-			t.Fatal("summary reports zero slab bytes")
+		if want := uint64(cap(run)) * uint64(unsafe.Sizeof(Run{})); sum.Bytes != want {
+			t.Fatalf("summary reports %d bytes, the finished run holds %d", sum.Bytes, want)
 		}
 	}
 }

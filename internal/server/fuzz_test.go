@@ -17,6 +17,7 @@ var (
 	fuzzOnce sync.Once
 	fuzzSrv  *Server
 	fuzzMux  http.Handler
+	fuzzDir  string
 )
 
 // fuzzServer builds one shared service per fuzz worker process: cheap
@@ -26,12 +27,13 @@ var (
 func fuzzServer(f *testing.F) *Server {
 	f.Helper()
 	fuzzOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "sword-fuzz-*")
+		var err error
+		fuzzDir, err = os.MkdirTemp("", "sword-fuzz-*")
 		if err != nil {
 			f.Fatal(err)
 		}
 		fuzzSrv, err = New(
-			WithDataDir(dir),
+			WithDataDir(fuzzDir),
 			WithConcurrency(1),
 			WithGlobalBytes(8<<20),
 			WithMaxAttempts(1),
@@ -45,10 +47,12 @@ func fuzzServer(f *testing.F) *Server {
 	})
 	f.Cleanup(func() {
 		// Last registered cleanup runs once per process teardown; a drain
-		// here keeps goroutine and file handles bounded across runs.
+		// here keeps goroutine and file handles bounded across runs, and
+		// the data directory goes with the drained server.
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = fuzzSrv.Drain(ctx)
+		_ = os.RemoveAll(fuzzDir)
 	})
 	return fuzzSrv
 }

@@ -394,6 +394,20 @@ func (r *LogReader) Next() (uint64, []byte, error) { return r.NextFrom(nil) }
 // interval fragment of the current batch; salvage-mode analysis passes a
 // nil skip so every payload is integrity-checked.
 func (r *LogReader) NextFrom(skip func(start, rawLen uint64) bool) (uint64, []byte, error) {
+	start, raw, err := r.NextInto(r.raw, skip)
+	if raw != nil {
+		r.raw = raw
+	}
+	return start, raw, err
+}
+
+// NextInto is NextFrom decompressing into dst's backing array instead of
+// the reader's staging slice: the block overwrites dst from its start and
+// the returned slice aliases dst unless the block outgrew its capacity.
+// The reader keeps no reference to dst, so a caller that owns a set of
+// buffers can decode one on another goroutine while the reader fills the
+// next — the analyzer's per-slot pipeline, which then needs no copy.
+func (r *LogReader) NextInto(dst []byte, skip func(start, rawLen uint64) bool) (uint64, []byte, error) {
 	if r.dead {
 		return 0, nil, io.EOF
 	}
@@ -466,7 +480,7 @@ func (r *LogReader) NextFrom(skip func(start, rawLen uint64) bool) (uint64, []by
 			}
 			return 0, nil, err
 		}
-		r.raw, err = codec.Decompress(r.raw[:0], r.comp, int(rawLen))
+		raw, err := codec.Decompress(dst[:0], r.comp, int(rawLen))
 		if err != nil {
 			if r.corrupt(blockOff, start, rawLen, compLen, err.Error()) {
 				continue
@@ -477,7 +491,7 @@ func (r *LogReader) NextFrom(skip func(start, rawLen uint64) bool) (uint64, []by
 		r.blocks++
 		r.compIn += compLen
 		r.salvage.SalvagedBytes += rawLen
-		return start, r.raw, nil
+		return start, raw, nil
 	}
 }
 
