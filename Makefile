@@ -109,11 +109,12 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof ./internal/harness
 	@echo "wrote cpu.pprof and mem.pprof"
 
-# Fails, and lists them, when a smoke or benchmark left one of the repo's
-# binaries running. Each pattern brackets one character so that it cannot
-# match the command line of the shell running this recipe.
+# Fails, and lists them, when a smoke, benchmark or test run left one of
+# the repo's binaries running — including a `go test` binary
+# (…/go-build…/*.test). Each pattern brackets one character so that it
+# cannot match the command line of the shell running this recipe.
 leftovers:
-	@left="$$(pgrep -af '[s]worddist|[s]wordserve|[s]wordrun|[s]wordwatch|[.]bench_build/bench' || true)"; \
+	@left="$$(pgrep -af '[s]worddist|[s]wordserve|[s]wordrun|[s]wordwatch|[.]bench_build/bench|[g]o-build[0-9]*/.*[.]test' || true)"; \
 	if [ -n "$$left" ]; then \
 		echo "processes left running:"; echo "$$left"; exit 1; \
 	fi

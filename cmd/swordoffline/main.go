@@ -10,12 +10,16 @@
 //	swordoffline -logdir /tmp/trace -batch 4   # bounded-memory streaming
 //	swordoffline -logdir /tmp/trace -metrics   # per-phase timing breakdown
 //	swordoffline -logdir /tmp/trace -metrics-out m.json  # export snapshot
-//	swordoffline -logdir /tmp/trace -salvage   # analyze a damaged trace
+//	swordoffline -logdir /tmp/trace -check     # validate integrity first
 //	swordoffline -logdir /tmp/trace -follow    # tail a still-running collection
 //
-// Exit codes: 0 = clean trace, no races; 3 = races found; 4 = partial
-// trace (salvage mode recovered a damaged trace), no races in what
-// survived; 5 = partial trace with races; 1 = analysis failed; 2 = usage.
+// A damaged trace (a crashed run, a filled disk, bit rot) is analyzed as
+// far as it survived: the partial report is printed, and the damage is
+// reported on stderr and in the exit code.
+//
+// Exit codes: 0 = clean trace, no races; 3 = races found; 4 = damaged
+// trace, no races in what survived; 5 = damaged trace with races; 1 =
+// analysis failed (or -check found damage); 2 = usage.
 package main
 
 import (
@@ -39,7 +43,6 @@ func main() {
 	noSolver := flag.Bool("nosolver", false, "disable the strided-interval constraint solver (ablation)")
 	noCompact := flag.Bool("nocompact", false, "disable interval-tree compaction (ablation)")
 	allRaces := flag.Bool("all-races", false, "disable race-site suppression: solve every instance of already-confirmed race sites so per-race counts are exact")
-	salvage := flag.Bool("salvage", false, "graceful-degradation mode for damaged traces: recover and analyze what survived")
 	noPrefilter := flag.Bool("no-prefilter", false, "disable the summary-based pair pre-filter (ablation; identical race set, more comparisons)")
 	follow := flag.Bool("follow", false, "online mode: tail a trace a collector is still writing, reporting races as they are detected, until the run ends")
 	check := flag.Bool("check", false, "validate trace integrity before analyzing")
@@ -63,15 +66,10 @@ func main() {
 	}
 	if *check {
 		if err := sword.ValidateTrace(*logdir); err != nil {
-			if !*salvage {
-				fmt.Fprintln(os.Stderr, "swordoffline: trace integrity:", err)
-				os.Exit(1)
-			}
-			// Salvage mode exists precisely for traces that fail this check.
-			fmt.Fprintln(os.Stderr, "swordoffline: trace integrity:", err, "(continuing in salvage mode)")
-		} else {
-			fmt.Println("trace integrity: ok")
+			fmt.Fprintln(os.Stderr, "swordoffline: trace integrity:", err)
+			os.Exit(1)
 		}
+		fmt.Println("trace integrity: ok")
 	}
 	// Ctrl-C aborts the analysis between tree-build blocks and pair
 	// comparisons instead of leaving a long run unkillable-in-flight.
@@ -85,7 +83,6 @@ func main() {
 		sword.WithNoSolver(*noSolver),
 		sword.WithNoCompact(*noCompact),
 		sword.WithAllRaces(*allRaces),
-		sword.WithSalvage(*salvage),
 		sword.WithNoPrefilter(*noPrefilter),
 	}
 	var rep *sword.Report
@@ -101,7 +98,10 @@ func main() {
 	} else {
 		rep, stats, err = sword.AnalyzeContext(ctx, *logdir, analysisOpts...)
 	}
-	if err != nil {
+	// Damage counts as a verdict only beside a report: an interrupted
+	// live wait, or a trace too broken for any pass, has none.
+	damaged := rep != nil && errors.Is(err, sword.ErrTraceDamaged)
+	if err != nil && !damaged {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "swordoffline: interrupted")
 			if rep != nil && !*quiet {
@@ -114,6 +114,10 @@ func main() {
 		os.Exit(1)
 	}
 	elapsed := time.Since(start)
+	if damaged {
+		// The partial report follows; the damage is the loud part.
+		fmt.Fprintln(os.Stderr, "swordoffline:", err)
+	}
 	if !*quiet {
 		fmt.Print(rep.String())
 	}
@@ -130,14 +134,7 @@ func main() {
 		}
 		fmt.Println("metrics written to", *metricsOut)
 	}
-	switch {
-	case rep.Stats.Partial() && rep.Len() > 0:
-		os.Exit(5)
-	case rep.Stats.Partial():
-		os.Exit(4)
-	case rep.Len() > 0:
-		os.Exit(3)
-	}
+	os.Exit(sword.ExitCode(rep, err))
 }
 
 // printMetrics renders the RunStats breakdown: where the offline time

@@ -33,7 +33,6 @@ func main() {
 	logdir := flag.String("logdir", "", "directory for sword trace files (default: in-memory)")
 	flushWorkers := flag.Int("flush-workers", 0, "sword flush pipeline workers (0 = min(GOMAXPROCS, 4))")
 	batch := flag.Int("batch", 0, "sword offline analysis: N top-level subtrees per batch (0 = one pass)")
-	salvage := flag.Bool("salvage", false, "sword offline analysis: graceful-degradation mode for damaged traces")
 	staticFilter := flag.Bool("static-filter", false, "sword collection: drop accesses covered by static loop certificates (identical race set)")
 	liveFlush := flag.Bool("live-flush", false, "sword collection: commit log data before each meta record so a live analyzer (swordwatch) can tail the trace")
 	list := flag.Bool("list", false, "list workloads and exit")
@@ -104,7 +103,7 @@ func main() {
 	}
 	opts := harness.Options{
 		Threads: *threads, Size: *size, NodeBudget: *budget,
-		FlushWorkers: *flushWorkers, SubtreeBatch: *batch, Salvage: *salvage,
+		FlushWorkers: *flushWorkers, SubtreeBatch: *batch,
 		StaticFilter: *staticFilter, LiveFlush: *liveFlush,
 	}
 	if *logdir != "" {

@@ -13,7 +13,7 @@
 //	curl http://host:7080/api/v1/jobs/<id>/report
 //
 // Overloaded tenants are shed with 429 + Retry-After; damaged uploads
-// degrade to salvage-mode analysis and partial reports; SIGTERM drains
+// finish as partial reports of what survived; SIGTERM drains
 // cleanly (admission stops, running jobs requeue and persist). See
 // docs/FORMAT.md ("HTTP analysis service") for the full API.
 //

@@ -16,8 +16,12 @@
 // report is fully symbolized. Ctrl-C before the run ends prints the
 // partial live report and exits 1 — the crashed-run path.
 //
+// A damaged trace falls back to a post-mortem analysis once the run ends:
+// its partial report is printed and the damage goes to stderr.
+//
 // Exit codes mirror swordoffline: 0 = run finished, no races; 3 = races
-// found; 1 = interrupted or failed; 2 = usage.
+// found; 4 = damaged trace, no races in what survived; 5 = damaged trace
+// with races; 1 = interrupted or failed; 2 = usage.
 package main
 
 import (
@@ -66,7 +70,8 @@ func main() {
 		}))
 	}
 	rep, stats, err := sword.AnalyzeLive(ctx, *logdir, opts...)
-	if err != nil {
+	damaged := rep != nil && errors.Is(err, sword.ErrTraceDamaged)
+	if err != nil && !damaged {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "swordwatch: interrupted before the run ended; partial report:")
 			if rep != nil {
@@ -78,6 +83,9 @@ func main() {
 		os.Exit(1)
 	}
 	elapsed := time.Since(start)
+	if damaged {
+		fmt.Fprintln(os.Stderr, "swordwatch:", err)
+	}
 	fmt.Print(rep.String())
 	st := rep.Stats
 	fmt.Printf("analyzed %d regions, %d intervals, %d concurrent pairs, %d tree nodes (%d accesses) in %v\n",
@@ -93,7 +101,5 @@ func main() {
 		fmt.Printf("committed bytes:     %d\n", snap.Value("stream.committed_bytes"))
 		fmt.Printf("frontier peak:       %d bytes\n", snap.Value("stream.frontier_bytes_peak"))
 	}
-	if rep.Len() > 0 {
-		os.Exit(3)
-	}
+	os.Exit(sword.ExitCode(rep, err))
 }

@@ -94,7 +94,6 @@ func distOptions(cfg Config, m *obs.Metrics) []dist.Option {
 			NoSolver:     cfg.NoSolver,
 			NoCompact:    cfg.NoCompact,
 			AllRaces:     cfg.AllRaces,
-			Salvage:      cfg.Salvage,
 			MemoryBudget: cfg.MemoryBudget,
 			Obs:          m,
 		}),

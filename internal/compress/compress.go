@@ -146,5 +146,11 @@ func (f *Flate) Decompress(dst, src []byte, rawLen int) ([]byte, error) {
 	if _, err := io.ReadFull(r, dst[start:]); err != nil {
 		return nil, fmt.Errorf("compress: flate decompress: %w", err)
 	}
+	// Like the other codecs, reject a stream longer than rawLen: a short
+	// declared length must not decode as a truncated block.
+	var extra [1]byte
+	if n, _ := r.Read(extra[:]); n > 0 {
+		return nil, fmt.Errorf("compress: flate stream longer than declared length %d", rawLen)
+	}
 	return dst, nil
 }

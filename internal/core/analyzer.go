@@ -10,9 +10,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -101,16 +104,6 @@ type Config struct {
 	// probe engine is kept as the reference implementation for the
 	// differential tests and A/B benchmarks.
 	ProbeEngine bool
-	// Salvage switches the analyzer into graceful-degradation mode for
-	// damaged traces: tolerant readers recover the intact prefix of every
-	// log and meta stream, intervals whose data was lost (corrupt blocks,
-	// torn tails, unrecoverable structure) are quarantined, and every
-	// concurrent pair whose data survived is still analyzed. The report's
-	// Stats carry the coverage (intervals analyzed vs quarantined, bytes
-	// salvaged vs lost) and its Notes say exactly what was lost and why.
-	// Block skipping is disabled under Salvage so every payload is
-	// integrity-checked even in SubtreeBatch mode.
-	Salvage bool
 	// Obs, when non-nil, receives the offline phase's live metrics
 	// (core.* and trace.* names, see docs/FORMAT.md): per-phase wall
 	// times (structure recovery, tree build, pair comparison), interval
@@ -120,15 +113,20 @@ type Config struct {
 	Obs *obs.Metrics
 }
 
-// Analyzer runs the offline phase over one run's trace store.
+// Analyzer runs the offline phase over one run's trace store. Every
+// analysis salvages: intervals whose data was lost are quarantined, every
+// surviving concurrent pair is analyzed, and the partial report comes back
+// with the damage as a *trace.SalvageReport error (nil on an intact trace).
 type Analyzer struct {
 	store trace.Store
 	cfg   Config
 
-	// Salvage-mode damage records, one per slot, filled by the first
-	// (full-stream) pass over the logs.
-	salvMu   sync.Mutex
-	slotSalv map[int]*slotSalvage
+	// Log damage per slot, merged from every pass over the logs. A pass
+	// decodes only the blocks it builds from, so each pass adds what its
+	// blocks revealed; lost spans are keyed by logical position, so a
+	// block two passes decode counts once.
+	dmgMu sync.Mutex
+	dmg   map[int]*slotDamage
 
 	// blockBufs keeps the slot pipelines' block buffers between slots, so
 	// SubtreeBatch batches and distributed work lists re-stream the logs
@@ -138,35 +136,34 @@ type Analyzer struct {
 	blockBufs chan []byte
 }
 
-// slotSalvage is what salvage-mode log streaming learned about one slot.
-type slotSalvage struct {
-	rep        *trace.SalvageReport
-	logEnd     uint64      // logical end of the salvaged log stream
-	truncated  bool        // stream ended before a clean block boundary
-	extraLost  [][2]uint64 // CRC-clean blocks whose events failed to decode
-	openFailed bool        // the log file could not even be opened
-	notes      []string
+// slotDamage is what the passes over one slot's log found wrong with it.
+// logEnd is recorded for every slot a pass read, damaged or not: meta
+// records pointing past it reference data the log never held (all of
+// them, when the log could not even be opened).
+type slotDamage struct {
+	logEnd    uint64                        // logical end of the readable log
+	truncated bool                          // the log ended early
+	lost      map[uint64]trace.SalvageEntry // lost spans, by logical start
+	framing   map[uint64]trace.SalvageEntry // damage without a span, by file offset
+	stray     map[uint64]uint64             // accesses no fragment owns, by block start
+}
+
+func newSlotDamage() *slotDamage {
+	return &slotDamage{lost: make(map[uint64]trace.SalvageEntry),
+		framing: make(map[uint64]trace.SalvageEntry), stray: make(map[uint64]uint64)}
 }
 
 // damaged reports whether any of the interval's fragments lost data: a
-// fragment intersecting a lost logical range, or extending past the
-// salvaged end of the log (data the crashed collector never wrote).
-func (ss *slotSalvage) damaged(iv *interval) bool {
-	if ss.openFailed {
-		return true
-	}
-	var lost [][2]uint64
-	if ss.rep != nil {
-		lost = ss.rep.LostRanges()
-	}
-	lost = append(lost, ss.extraLost...)
+// fragment intersecting a lost span, or extending past the readable end
+// of the log (data the crashed collector never wrote).
+func (d *slotDamage) damaged(iv *interval) bool {
 	for _, f := range iv.frags {
 		fEnd := f.begin + f.size
-		if fEnd > ss.logEnd {
+		if fEnd > d.logEnd {
 			return true
 		}
-		for _, lr := range lost {
-			if f.begin < lr[1] && lr[0] < fEnd {
+		for _, e := range d.lost {
+			if f.begin < e.LogicalEnd && e.LogicalStart < fEnd {
 				return true
 			}
 		}
@@ -176,7 +173,7 @@ func (ss *slotSalvage) damaged(iv *interval) bool {
 
 // New returns an analyzer over store.
 func New(store trace.Store, cfg Config) *Analyzer {
-	return &Analyzer{store: store, cfg: cfg, slotSalv: make(map[int]*slotSalvage)}
+	return &Analyzer{store: store, cfg: cfg}
 }
 
 // Analyze performs the full offline analysis and returns the race report.
@@ -185,46 +182,35 @@ func (a *Analyzer) Analyze() (*report.Report, error) {
 }
 
 // loadPCs resolves the symbolization table: the configured one, the table
-// the collector persisted into the store, or a fresh empty table. In
-// salvage mode a damaged persisted table degrades to numeric ids with a
-// note instead of failing the analysis.
-func (a *Analyzer) loadPCs() (*pcreg.Table, string, error) {
-	pcs := a.cfg.PCs
-	if pcs != nil {
-		return pcs, "", nil
+// the collector persisted into the store, or a fresh empty table. A
+// damaged persisted table degrades to numeric ids and comes back as damage:
+// symbolization is a nicety, not a reason to abandon the analysis.
+func (a *Analyzer) loadPCs() (*pcreg.Table, []trace.SalvageEntry) {
+	if a.cfg.PCs != nil {
+		return a.cfg.PCs, nil
 	}
 	aux, err := a.store.OpenAux("pctable")
 	if err != nil {
-		return pcreg.NewTable(), "", nil
+		return pcreg.NewTable(), nil
 	}
-	pcs, err = pcreg.ReadTable(aux)
+	pcs, err := pcreg.ReadTable(aux)
 	aux.Close()
 	if err != nil {
-		if !a.cfg.Salvage {
-			return nil, "", fmt.Errorf("core: read pc table: %w", err)
-		}
-		// A crash can tear the aux file too; symbolization is a
-		// nicety, not a reason to abandon the race analysis.
-		return pcreg.NewTable(),
-			fmt.Sprintf("pc table damaged (%v); race sites reported as numeric ids", err), nil
+		return pcreg.NewTable(), []trace.SalvageEntry{{File: "aux pctable", Block: -1,
+			Cause: fmt.Sprintf("unreadable (%v); race sites reported as numeric ids", err)}}
 	}
-	return pcs, "", nil
+	return pcs, nil
 }
 
 // AnalyzeContext is Analyze with cancellation: the analysis aborts with
 // ctx.Err() at the next block read or pair comparison once ctx is done —
 // the hook distributed per-batch deadlines and swordoffline's Ctrl-C
-// handling need.
+// handling need. On a damaged trace it returns the partial report and
+// the damage as a *trace.SalvageReport error.
 func (a *Analyzer) AnalyzeContext(ctx context.Context) (*report.Report, error) {
-	pcs, pcNote, err := a.loadPCs()
-	if err != nil {
-		return nil, err
-	}
 	rep := report.New()
-	if pcNote != "" {
-		rep.Note("%s", pcNote)
-	}
-	return a.analyze(ctx, newCompareEngine(a.cfg, pcs, rep), rep, nil)
+	pcs, pcDamage := a.loadPCs()
+	return a.analyze(ctx, newCompareEngine(a.cfg, pcs, rep), rep, nil, pcDamage)
 }
 
 // analyze is the batched analysis loop behind AnalyzeContext, reusable by
@@ -233,16 +219,18 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context) (*report.Report, error) {
 // skip, when non-nil, drops enumerated pairs that were already compared
 // live. Dropped pairs still count toward Stats.IntervalPairs, so the final
 // stats describe the same pair population a pure post-mortem run reports.
-func (a *Analyzer) analyze(ctx context.Context, eng *compareEngine, rep *report.Report, skip func([2]*treeUnit) bool) (*report.Report, error) {
+// pcDamage is what loadPCs found wrong with the pc table.
+func (a *Analyzer) analyze(ctx context.Context, eng *compareEngine, rep *report.Report, skip func([2]*treeUnit) bool, pcDamage []trace.SalvageEntry) (*report.Report, error) {
 	workers := EffectiveWorkers(a.cfg.Workers)
 	m := a.cfg.Obs
 	totalStart := time.Now()
 
 	phaseStart := time.Now()
-	s, err := buildStructure(a.store, a.cfg.Salvage)
+	s, err := buildStructure(a.store)
 	if err != nil {
 		return nil, err
 	}
+	s.damage = slices.Concat(pcDamage, s.damage)
 	m.Timer("core.phase.structure").Observe(time.Since(phaseStart))
 
 	rep.Stats.Intervals = len(s.intervals)
@@ -266,7 +254,6 @@ func (a *Analyzer) analyze(ctx context.Context, eng *compareEngine, rep *report.
 	if batch <= 0 || batch > len(tops) {
 		batch = len(tops)
 	}
-	firstBatch := true
 	for lo := 0; lo < len(tops) || lo == 0; lo += batch {
 		hi := min(lo+batch, len(tops))
 		var include map[uint64]bool // nil = everything (single batch)
@@ -279,17 +266,13 @@ func (a *Analyzer) analyze(ctx context.Context, eng *compareEngine, rep *report.
 		// Trace-volume counters only on the first pass: every batch
 		// streams the full logs again, which must not double-count.
 		phaseStart = time.Now()
-		if err := a.buildTrees(ctx, s, workers, include, nil, firstBatch); err != nil {
+		if err := a.buildTrees(ctx, s, workers, include, nil, lo == 0); err != nil {
 			return nil, err
 		}
 		m.Timer("core.phase.trees").Observe(time.Since(phaseStart))
-		if a.cfg.Salvage {
-			// The first pass streamed every log end to end, so the damage
-			// records are complete: quarantine intervals whose data was
-			// lost before any pairing or accounting sees their trees.
-			a.applyQuarantine(s, rep, firstBatch)
-		}
-		firstBatch = false
+		// Quarantine what this pass found damaged before any pairing or
+		// accounting sees its trees.
+		a.applyQuarantine(s, nil)
 		pairs, dropped, retired := enumeratePairs(s, include, true, !a.cfg.NoPrefilter, false)
 		total := len(pairs)
 		if skip != nil {
@@ -338,9 +321,7 @@ func (a *Analyzer) analyze(ctx context.Context, eng *compareEngine, rep *report.
 			break
 		}
 	}
-	if a.cfg.Salvage {
-		a.finishSalvage(s, rep, m)
-	}
+	damage := a.finishDamage(s, rep)
 	rep.Stats.NodeComparisons = eng.comparisons.load()
 	rep.Stats.SolverCalls = eng.solverCalls.load()
 	rep.Stats.SolverCacheHits = eng.cacheHits.load()
@@ -355,7 +336,7 @@ func (a *Analyzer) analyze(ctx context.Context, eng *compareEngine, rep *report.
 	m.Counter("core.sites_suppressed").Add(eng.suppressed.load())
 	m.Counter("core.races").Add(uint64(rep.Len()))
 	m.Timer("core.phase.total").Observe(time.Since(totalStart))
-	return rep, nil
+	return rep, damage
 }
 
 // budgetBatch derives the largest SubtreeBatch whose every consecutive
@@ -387,21 +368,21 @@ func budgetBatch(s *structure, tops []uint64, budget int64) int {
 	return 1
 }
 
-// applyQuarantine marks intervals whose data the salvage pass found
-// damaged and frees any trees already built for them, so neither pairing
-// nor the effort accounting sees partial data. Idempotent; the flags
-// persist across SubtreeBatch batches.
-func (a *Analyzer) applyQuarantine(s *structure, rep *report.Report, firstBatch bool) {
-	a.salvMu.Lock()
-	defer a.salvMu.Unlock()
+// applyQuarantine marks the intervals whose data a pass over the logs
+// found damaged — all of them, or those in only — and frees any trees
+// already built for them, so neither pairing nor the effort accounting
+// sees partial data. The flags persist across SubtreeBatch batches.
+func (a *Analyzer) applyQuarantine(s *structure, only map[*interval]bool) {
+	a.dmgMu.Lock()
+	defer a.dmgMu.Unlock()
 	for slot, ivs := range s.bySlot {
-		ss := a.slotSalv[slot]
+		d := a.dmg[slot]
+		if d == nil {
+			continue
+		}
 		for _, iv := range ivs {
-			if !iv.quarantined && ss != nil && ss.damaged(iv) {
+			if !iv.quarantined && (only == nil || only[iv]) && d.damaged(iv) {
 				iv.quarantined = true
-				if firstBatch {
-					rep.Note("interval %+v quarantined: its log data was lost", iv.key)
-				}
 			}
 			if iv.quarantined && iv.units != nil {
 				iv.resetUnits()
@@ -410,11 +391,66 @@ func (a *Analyzer) applyQuarantine(s *structure, rep *report.Report, firstBatch 
 	}
 }
 
-// finishSalvage folds the damage records into the report: coverage stats,
-// notes, and the trace.* salvage metrics.
-func (a *Analyzer) finishSalvage(s *structure, rep *report.Report, m *obs.Metrics) {
-	for _, n := range s.notes {
-		rep.Note("%s", n)
+// damage merges everything the analysis found wrong with the trace into
+// one report, in a deterministic order: the aux files and the structure's
+// meta damage, then slot by slot its log damage in offset order and its
+// quarantined intervals in log order. Spans past a log's end come from a
+// pass that skipped the block where it ended (see mergeDamage) and are
+// left out. The report is clean on an intact trace.
+func (a *Analyzer) damage(s *structure) *trace.SalvageReport {
+	r := &trace.SalvageReport{Truncated: len(s.truncatedMeta) > 0}
+	r.Entries = append(r.Entries, s.damage...)
+	a.dmgMu.Lock()
+	defer a.dmgMu.Unlock()
+	for _, slot := range slices.Sorted(maps.Keys(a.dmg)) {
+		d := a.dmg[slot]
+		file := fmt.Sprintf("log %d", slot)
+		var lostBytes uint64
+		for _, start := range slices.Sorted(maps.Keys(d.lost)) {
+			e := d.lost[start]
+			if start >= d.logEnd {
+				continue
+			}
+			r.CorruptBlocks++
+			lostBytes += min(e.LogicalEnd, d.logEnd) - e.LogicalStart
+			r.Entries = append(r.Entries, e)
+		}
+		r.LostBytes += lostBytes
+		r.SalvagedBytes += d.logEnd - lostBytes
+		for _, off := range slices.Sorted(maps.Keys(d.framing)) {
+			r.Entries = append(r.Entries, d.framing[off])
+		}
+		r.Truncated = r.Truncated || d.truncated
+		var stray uint64
+		for start, n := range d.stray {
+			if start < d.logEnd {
+				stray += n
+			}
+		}
+		if stray > 0 {
+			r.Entries = append(r.Entries, trace.SalvageEntry{File: file, Block: -1,
+				Cause: fmt.Sprintf("%d access(es) outside every interval fragment dropped", stray)})
+		}
+		for _, iv := range s.bySlot[slot] {
+			if iv.quarantined && !iv.region.quarantined {
+				r.Entries = append(r.Entries, trace.SalvageEntry{File: file, Block: -1,
+					Cause: fmt.Sprintf("interval %+v quarantined: its log data was lost", iv.key)})
+			}
+		}
+	}
+	return r
+}
+
+// finishDamage folds the damage into the report — one note per entry,
+// the coverage stats and the trace.* salvage metrics — and returns it as
+// the analysis error, nil on an intact trace (whose stats stay zero).
+func (a *Analyzer) finishDamage(s *structure, rep *report.Report) error {
+	d := a.damage(s)
+	if d.Clean() {
+		return nil
+	}
+	for _, e := range d.Entries {
+		rep.Note("%s", e)
 	}
 	quarantined := 0
 	for _, iv := range s.intervals {
@@ -422,54 +458,59 @@ func (a *Analyzer) finishSalvage(s *structure, rep *report.Report, m *obs.Metric
 			quarantined++
 		}
 	}
-	salvaged := s.metaSalvagedBytes
-	var lost uint64
-	corrupt := 0
-	truncSlots := make(map[int]bool, len(s.truncatedMeta))
-	for slot := range s.truncatedMeta {
-		truncSlots[slot] = true
-	}
-	a.salvMu.Lock()
-	for slot, ss := range a.slotSalv {
-		if ss.openFailed || ss.truncated {
-			truncSlots[slot] = true
-		}
-		if ss.rep != nil {
-			corrupt += ss.rep.CorruptBlocks
-			salvaged += ss.rep.SalvagedBytes
-			lost += ss.rep.LostBytes
-		}
-		corrupt += len(ss.extraLost)
-		for _, r := range ss.extraLost {
-			lost += r[1] - r[0]
-		}
-		for _, n := range ss.notes {
-			rep.Note("%s", n)
+	truncSlots := len(s.truncatedMeta)
+	a.dmgMu.Lock()
+	for slot, sd := range a.dmg {
+		if sd.truncated && !s.truncatedMeta[slot] {
+			truncSlots++
 		}
 	}
-	a.salvMu.Unlock()
+	a.dmgMu.Unlock()
 	rep.Stats.IntervalsQuarantined = quarantined
-	rep.Stats.CorruptBlocks = corrupt
-	rep.Stats.TruncatedSlots = len(truncSlots)
-	rep.Stats.SalvagedBytes = salvaged
-	rep.Stats.LostBytes = lost
-	m.Counter("trace.corrupt_blocks").Add(uint64(corrupt))
-	m.Counter("trace.truncated_slots").Add(uint64(len(truncSlots)))
-	m.Counter("trace.salvaged_bytes").Add(salvaged)
-	m.Counter("trace.lost_bytes").Add(lost)
+	rep.Stats.CorruptBlocks = d.CorruptBlocks
+	rep.Stats.TruncatedSlots = truncSlots
+	rep.Stats.SalvagedBytes = d.SalvagedBytes
+	rep.Stats.LostBytes = d.LostBytes
+	m := a.cfg.Obs
+	m.Counter("trace.corrupt_blocks").Add(uint64(d.CorruptBlocks))
+	m.Counter("trace.truncated_slots").Add(uint64(truncSlots))
+	m.Counter("trace.salvaged_bytes").Add(d.SalvagedBytes)
+	m.Counter("trace.lost_bytes").Add(d.LostBytes)
 	m.Counter("core.intervals_quarantined").Add(uint64(quarantined))
 	if rep.Stats.Partial() {
 		rep.Note("partial trace: %d of %d interval(s) quarantined; races hold for the surviving data only",
 			quarantined, len(s.intervals))
 	}
+	return d
 }
 
-// recordSalvage stores one slot's damage record; called once per slot by
-// the first (full-stream) pass.
-func (a *Analyzer) recordSalvage(slot int, ss *slotSalvage) {
-	a.salvMu.Lock()
-	a.slotSalv[slot] = ss
-	a.salvMu.Unlock()
+// mergeDamage folds one pass's findings over a slot's log into the
+// analyzer's record of that slot. The earliest truncation is the log's
+// end: a block whose raw length lies ends the stream of the pass that
+// decodes it, while a pass that skips it reads on at shifted offsets.
+// Batches run in top-level region order, which is log order, so the
+// decoding pass runs first, and its quarantine flags every interval past
+// that end, later batches' too, before they are built.
+func (a *Analyzer) mergeDamage(slot int, pass *slotDamage) {
+	a.dmgMu.Lock()
+	defer a.dmgMu.Unlock()
+	if a.dmg == nil {
+		a.dmg = make(map[int]*slotDamage)
+	}
+	d := a.dmg[slot]
+	if d == nil {
+		a.dmg[slot] = pass
+		return
+	}
+	switch {
+	case pass.truncated && (!d.truncated || pass.logEnd < d.logEnd):
+		d.logEnd, d.truncated = pass.logEnd, true
+	case !d.truncated:
+		d.logEnd = max(d.logEnd, pass.logEnd)
+	}
+	maps.Copy(d.lost, pass.lost)
+	maps.Copy(d.framing, pass.framing)
+	maps.Copy(d.stray, pass.stray)
 }
 
 // comparePairs drains the scheduled pairs through a pool of engine
@@ -707,35 +748,29 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 	}()
 	src, err := a.store.OpenLog(slot)
 	if err != nil {
-		if a.cfg.Salvage {
-			// The whole log is gone; quarantine the slot's intervals and
-			// keep analyzing everything else.
-			if countIO {
-				a.recordSalvage(slot, &slotSalvage{openFailed: true, notes: []string{
-					fmt.Sprintf("slot %d: log unreadable (%v); all its intervals quarantined", slot, err)}})
-			}
-			return nil
-		}
-		return fmt.Errorf("core: open log %d: %w", slot, err)
+		// The whole log is gone: its intervals are quarantined and the
+		// analysis goes on with everything else.
+		d := newSlotDamage()
+		d.truncated = true
+		d.framing[0] = trace.SalvageEntry{File: fmt.Sprintf("log %d", slot), Block: -1,
+			Cause: fmt.Sprintf("unreadable (%v)", err)}
+		a.mergeDamage(slot, d)
+		return nil
 	}
 	lr := trace.NewLogReader(src)
 	defer lr.Close()
-	var ss *slotSalvage
-	if a.cfg.Salvage {
-		lr.SetTolerant(true)
-		ss = &slotSalvage{}
-	}
-	// In batched mode a block whose logical span intersects none of the
-	// batch's fragments holds only data this pass would decode and throw
-	// away; skip its compressed payload entirely. Blocks arrive in
-	// ascending logical order, so one cursor over the wanted spans
-	// suffices. The full single-pass analysis keeps decoding everything —
-	// there, out-of-fragment events are a trace-integrity error the
-	// decoder must see, not dead weight.
-	// Under Salvage skipping is disabled: every payload must pass through
-	// the integrity check so the damage records stay complete.
+	file := fmt.Sprintf("log %d", slot)
+	pass := newSlotDamage()
+	// In batched mode (and for the live and distributed interval sets) a
+	// block whose logical span intersects none of the pass's fragments
+	// holds only data this pass would decode and throw away; skip its
+	// compressed payload entirely. Blocks arrive in ascending logical
+	// order, so one cursor over the wanted spans suffices. A skipped
+	// payload is not integrity-checked here: it holds no data of this
+	// pass, and the pass that builds from it checks it. The full
+	// single-pass analysis decodes everything.
 	var skipBlock func(start, rawLen uint64) bool
-	if (include != nil || only != nil) && !a.cfg.Salvage {
+	if include != nil || only != nil {
 		var wanted [][2]uint64
 		for _, sp := range cur.spans {
 			if sp.unit != nil {
@@ -760,21 +795,17 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 	for b := range p.blocks {
 		maxDepth = max(maxDepth, len(p.blocks)+1)
 		dec.Reset(b.raw)
+		var stray uint64
 		for dec.More() {
 			pos := b.start + uint64(dec.Pos())
 			if err := dec.Next(&ev); err != nil {
-				if ss != nil {
-					// The block passed its CRC but the event stream inside
-					// is malformed: write the rest of the block off as lost
-					// and resync at the next block boundary.
-					end := b.start + uint64(len(b.raw))
-					ss.extraLost = append(ss.extraLost, [2]uint64{pos, end})
-					ss.notes = append(ss.notes,
-						fmt.Sprintf("slot %d: undecodable events in [%d, %d): %v", slot, pos, end, err))
-					break
-				}
-				p.abort(b.raw)
-				return fmt.Errorf("core: decode log %d at %d: %w", slot, pos, err)
+				// The block passed its CRC but the event stream inside is
+				// malformed: write the rest of the block off as lost and
+				// resync at the next block boundary.
+				end := b.start + uint64(len(b.raw))
+				pass.lost[pos] = trace.SalvageEntry{File: file, Block: -1, LogicalStart: pos, LogicalEnd: end,
+					Cause: fmt.Sprintf("undecodable events (%v)", err)}
+				break
 			}
 			events++
 			unit, inside := cur.at(pos)
@@ -785,13 +816,11 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 				cur.held = cur.held.Without(ev.Mutex)
 			case trace.KindAccess:
 				if !inside {
-					if ss != nil {
-						// Its interval's meta record was lost with a damaged
-						// stream; the access has no home, drop it.
-						continue
-					}
-					p.abort(b.raw)
-					return fmt.Errorf("core: slot %d access at %d outside any interval fragment", slot, pos)
+					// No fragment owns the access — its interval's meta
+					// record was lost, or meta and log disagree. It has no
+					// home: drop it, and count it as damage.
+					stray++
+					continue
 				}
 				if unit == nil {
 					continue // outside this batch: decode but do not build
@@ -806,6 +835,9 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 				})
 			}
 		}
+		if stray > 0 {
+			pass.stray[b.start] = stray
+		}
 		cur.settle()
 		p.free <- b.raw
 	}
@@ -813,17 +845,19 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 		return err
 	}
 	// End of stream: the reader goroutine is done, so the LogReader's
-	// totals and salvage report are stable.
-	if ss != nil && countIO {
-		srep := lr.Salvage()
-		ss.rep = srep
-		ss.logEnd = lr.RawBytes()
-		ss.truncated = srep.Truncated
-		if !srep.Clean() {
-			ss.notes = append(ss.notes, fmt.Sprintf("slot %d: log damaged: %s", slot, srep))
+	// totals and damage report are stable.
+	srep := lr.Salvage()
+	pass.logEnd = lr.RawBytes()
+	pass.truncated = srep.Truncated
+	for _, e := range srep.Entries {
+		e.File = file
+		if e.LogicalEnd > e.LogicalStart {
+			pass.lost[e.LogicalStart] = e
+		} else {
+			pass.framing[e.Offset] = e
 		}
-		a.recordSalvage(slot, ss)
 	}
+	a.mergeDamage(slot, pass)
 	if m := a.cfg.Obs; m != nil {
 		if countIO {
 			m.Counter("trace.events").Add(events)
@@ -865,9 +899,9 @@ type logBlock struct {
 
 // startBlockPipeline takes two buffers from stash and starts the reader
 // goroutine over lr. The caller ranges over blocks, returns every buffer
-// to free, and then reads err; to stop early it calls abort instead.
-// Either way the reader has exited before the caller may close lr, and
-// release then hands both buffers back to stash.
+// to free, and then reads err, so the reader has exited before the caller
+// may close lr; release then hands both buffers back to stash. Damage the
+// reader steps over stays in lr's report: it never stops the stream.
 func startBlockPipeline(ctx context.Context, lr *trace.LogReader, skip func(start, rawLen uint64) bool, slot int, stash <-chan []byte) *blockPipeline {
 	ctx, cancel := context.WithCancel(ctx)
 	p := &blockPipeline{
@@ -895,6 +929,9 @@ func startBlockPipeline(ctx context.Context, lr *trace.LogReader, skip func(star
 				return
 			}
 			start, raw, err := lr.NextInto(buf, skip)
+			for errors.Is(err, trace.ErrTraceDamaged) {
+				start, raw, err = lr.NextInto(buf, skip) // recorded; read on
+			}
 			if err != nil {
 				p.free <- buf
 				if err == io.EOF {
@@ -911,20 +948,8 @@ func startBlockPipeline(ctx context.Context, lr *trace.LogReader, skip func(star
 	return p
 }
 
-// abort stops the pipeline after a fatal decode error in the block whose
-// buffer is held: it cancels the reader, takes back every buffer, and
-// waits for the reader to exit.
-func (p *blockPipeline) abort(held []byte) {
-	p.cancel()
-	p.free <- held
-	for b := range p.blocks {
-		p.free <- b.raw
-	}
-	<-p.err
-}
-
 // release hands the pipeline's two buffers back to stash. The reader has
-// exited by then — the caller read err or aborted — so both are in free;
+// exited by then — the caller read err — so both are in free;
 // only a panic in the decoder leaves one in flight, and release must not
 // block the unwinding on it: the stash gets a fresh slot instead.
 func (p *blockPipeline) release(stash chan<- []byte) {
@@ -979,7 +1004,7 @@ func enumeratePairs(s *structure, include map[uint64]bool, skipEmpty, prefilter,
 	byRegion := make(map[uint64][]*interval)
 	for _, iv := range s.intervals {
 		if iv.quarantined {
-			continue // salvage: the interval's data did not survive
+			continue // the interval's data did not survive
 		}
 		if include != nil && !include[iv.region.top.id] {
 			continue

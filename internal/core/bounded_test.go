@@ -142,7 +142,7 @@ func TestEarlyFinalizeZeroLengthFragments(t *testing.T) {
 			}
 		})
 	})
-	s, err := buildStructure(store, false)
+	s, err := buildStructure(store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestEarlyFinalizeTaskParentInterleaved(t *testing.T) {
 			}
 		})
 	})
-	s, err := buildStructure(store, false)
+	s, err := buildStructure(store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestEarlyFinalizeVoidedCertificate(t *testing.T) {
 		})
 	}
 	store := collectFiltered(t, program)
-	s, err := buildStructure(store, false)
+	s, err := buildStructure(store)
 	if err != nil {
 		t.Fatal(err)
 	}

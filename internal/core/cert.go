@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"sword/internal/itree"
 	"sword/internal/trace"
 )
@@ -41,16 +39,15 @@ type certInfo struct {
 }
 
 // attachCerts resolves every certificate's thread rows onto intervals and
-// decides retire-vs-rematerialize. Called by buildStructure after regions
-// are linked and quarantine flags are final.
-func (s *structure) attachCerts(certs []trace.LoopCert, salvage bool) error {
+// decides retire-vs-rematerialize. Called by assemble after regions are
+// linked and quarantine flags are final; a certificate the structure
+// cannot place is recorded as damage and dropped.
+func (s *structure) attachCerts(certs []trace.LoopCert) {
 	quarantinedRun := false
-	if salvage {
-		for _, r := range s.regions {
-			if r.quarantined {
-				quarantinedRun = true
-				break
-			}
+	for _, r := range s.regions {
+		if r.quarantined {
+			quarantinedRun = true
+			break
 		}
 	}
 	for i := range certs {
@@ -58,11 +55,8 @@ func (s *structure) attachCerts(certs []trace.LoopCert, salvage bool) error {
 		c := &ci.c
 		r, ok := s.regions[c.PID]
 		if !ok || r.quarantined {
-			if salvage {
-				s.note("certificate for region %d, barrier %d: region lost with a damaged slot; certificate dropped", c.PID, c.BID)
-				continue
-			}
-			return fmt.Errorf("core: certificate references unknown region %d", c.PID)
+			s.note("certificate for region %d, barrier %d: region lost with a damaged slot; certificate dropped", c.PID, c.BID)
+			continue
 		}
 		resolved := true
 		for t := range c.Threads {
@@ -74,17 +68,11 @@ func (s *structure) attachCerts(certs []trace.LoopCert, salvage bool) error {
 			if !ok || iv.quarantined {
 				resolved = false
 				if rowDropped(row) > 0 {
-					if !salvage {
-						return fmt.Errorf("core: certificate for region %d, barrier %d: thread %d's interval is missing", c.PID, c.BID, row.TID)
-					}
 					s.note("certificate for region %d, barrier %d: %d dropped access(es) of thread %d lost with a damaged slot", c.PID, c.BID, rowDropped(row), row.TID)
 				}
 				continue
 			}
 			if iv.cert != nil {
-				if !salvage {
-					return fmt.Errorf("core: duplicate certificate for interval %+v", iv.key)
-				}
 				s.note("duplicate certificate for interval %+v; later record dropped", iv.key)
 				resolved = false
 				continue
@@ -95,7 +83,7 @@ func (s *structure) attachCerts(certs []trace.LoopCert, salvage bool) error {
 		// verify that nothing outside the certificate was concurrent with
 		// the certified intervals: a level-1 synchronous region covering
 		// its full team, no subtree forked in the certified barrier
-		// interval, and (under salvage) no structural damage anywhere —
+		// interval, and no structural damage anywhere —
 		// damage hides concurrency, and dropped accesses cannot be
 		// re-examined later.
 		ci.retire = c.Clean && resolved && !quarantinedRun &&
@@ -110,7 +98,6 @@ func (s *structure) attachCerts(certs []trace.LoopCert, salvage bool) error {
 		}
 		s.certs = append(s.certs, ci)
 	}
-	return nil
 }
 
 func rowDropped(row *trace.CertThread) uint64 {

@@ -75,14 +75,10 @@ type LiveAnalyzer struct {
 	seen map[pairKey]struct{}
 }
 
-// NewLive returns a live analyzer. cfg.Salvage is ignored: a live round
-// never tolerates damage (the tailing layer distinguishes torn tails from
-// corruption, and real corruption aborts streaming in favor of a
-// post-mortem salvage run). cfg.PCs, when nil, starts as an empty table —
-// races found live carry placeholder "pc(N)" sites until Finalize installs
-// the table the collector persisted at Close.
+// NewLive returns a live analyzer. cfg.PCs, when nil, starts as an empty
+// table — races found live carry placeholder "pc(N)" sites until Finalize
+// installs the table the collector persisted at Close.
 func NewLive(cfg Config) *LiveAnalyzer {
-	cfg.Salvage = false
 	pcs := cfg.PCs
 	if pcs == nil {
 		pcs = pcreg.NewTable()
@@ -111,19 +107,22 @@ func (l *LiveAnalyzer) Report() *report.Report { return l.rep }
 // is sealed (no further records or data can arrive for it), and that store
 // serves only durable committed bytes covering the sealed intervals'
 // fragments. Each group must be passed to exactly one Step.
+//
+// A live round cannot quarantine: the tailing layer already tells torn
+// tails from damage, so any damage the round finds is real corruption,
+// returned as a *trace.SalvageReport error for the caller to fall back to
+// a post-mortem analysis.
 func (l *LiveAnalyzer) Step(ctx context.Context, store trace.Store, inputs []SlotRecords, groups map[IntervalGroup]bool) (StepStats, error) {
 	var st StepStats
 	if len(groups) == 0 {
 		return st, nil
 	}
-	s := newStructure(false)
+	s := newStructure()
 	ins := make([]slotRecords, len(inputs))
 	for i, in := range inputs {
 		ins[i] = slotRecords{slot: in.Slot, metas: in.Metas, certs: in.Certs}
 	}
-	if err := s.assemble(ins, nil, false); err != nil {
-		return st, err
-	}
+	s.assemble(ins, nil)
 	only := make(map[*interval]bool)
 	for _, iv := range s.intervals {
 		if groups[IntervalGroup{PID: iv.key.PID, BID: iv.key.BID}] {
@@ -136,6 +135,10 @@ func (l *LiveAnalyzer) Step(ctx context.Context, store trace.Store, inputs []Slo
 	a := New(store, l.cfg)
 	workers := EffectiveWorkers(l.cfg.Workers)
 	if err := a.buildTrees(ctx, s, workers, nil, only, false); err != nil {
+		return st, err
+	}
+	a.applyQuarantine(s, only)
+	if err := a.damage(s).Err(); err != nil {
 		return st, err
 	}
 	for iv := range only {
@@ -231,13 +234,7 @@ func (l *LiveAnalyzer) sameGroupPairs(s *structure, groups map[IntervalGroup]boo
 // live rounds' comparison work already paid.
 func (l *LiveAnalyzer) Finalize(ctx context.Context, store trace.Store) (*report.Report, error) {
 	a := New(store, l.cfg)
-	pcs, pcNote, err := a.loadPCs()
-	if err != nil {
-		return nil, err
-	}
-	if pcNote != "" {
-		l.rep.Note("%s", pcNote)
-	}
+	pcs, pcDamage := a.loadPCs()
 	l.pcs = pcs
 	l.eng.setPCs(pcs)
 	l.rep.Resymbolize(pcs.Name)
@@ -245,5 +242,5 @@ func (l *LiveAnalyzer) Finalize(ctx context.Context, store trace.Store) (*report
 		_, ok := l.seen[pairKeyOf(p)]
 		return ok
 	}
-	return a.analyze(ctx, l.eng, l.rep, skip)
+	return a.analyze(ctx, l.eng, l.rep, skip, pcDamage)
 }

@@ -22,7 +22,7 @@ func buildFromProgram(t *testing.T, program func(rtm *omp.Runtime, space *memsim
 	if err := col.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := buildStructure(store, false)
+	s, err := buildStructure(store)
 	if err != nil {
 		t.Fatal(err)
 	}

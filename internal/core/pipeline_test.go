@@ -19,7 +19,7 @@ import (
 )
 
 // The per-slot decode pipeline owns exactly two block buffers. Whether
-// the slot streams to its end, stops on a fatal decode error, or is
+// the slot streams to its end, reads on past a damaged block, or is
 // cancelled, both buffers must come back and the reader goroutine must
 // exit before the log reader is closed.
 
@@ -67,12 +67,23 @@ func openSlotReader(t *testing.T, store trace.Store, slot int) *trace.LogReader 
 
 func TestBlockPipelineReturnsBothBuffers(t *testing.T) {
 	store := manyBlocksStore(t)
-	for _, tc := range []string{"complete", "abort", "cancel"} {
+	damaged := trace.NewFaultStore(store)
+	damaged.SetMutateRead(func(name string, data []byte) []byte {
+		flipped := append([]byte(nil), data...)
+		flipped[len(flipped)/2] ^= 0xFF
+		return flipped
+	})
+	for _, tc := range []string{"complete", "damaged", "cancel"} {
 		t.Run(tc, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			lr := openSlotReader(t, store, 0)
+			var lr *trace.LogReader
+			if tc == "damaged" {
+				lr = openSlotReader(t, damaged, 0)
+			} else {
+				lr = openSlotReader(t, store, 0)
+			}
 			defer lr.Close()
 			stash := make(chan []byte, 2)
 			stash <- nil
@@ -82,22 +93,16 @@ func TestBlockPipelineReturnsBothBuffers(t *testing.T) {
 			if !ok {
 				t.Fatal("no block read")
 			}
-			var err error
 			blocks := 1
-			switch tc {
-			case "abort":
-				p.abort(first.raw) // as on a fatal decode error
-			case "complete", "cancel":
-				if tc == "cancel" {
-					cancel()
-				}
-				p.free <- first.raw
-				for b := range p.blocks {
-					blocks++
-					p.free <- b.raw
-				}
-				err = <-p.err
+			if tc == "cancel" {
+				cancel()
 			}
+			p.free <- first.raw
+			for b := range p.blocks {
+				blocks++
+				p.free <- b.raw
+			}
+			err := <-p.err
 			if _, open := <-p.blocks; open {
 				t.Fatal("reader still delivering after the pipeline ended")
 			}
@@ -112,6 +117,10 @@ func TestBlockPipelineReturnsBothBuffers(t *testing.T) {
 			case "complete":
 				if err != nil || uint64(blocks) != lr.Blocks() || blocks < 10 {
 					t.Fatalf("err %v after %d of %d blocks", err, blocks, lr.Blocks())
+				}
+			case "damaged":
+				if err != nil || uint64(blocks) != lr.Blocks()-1 || lr.Salvage().CorruptBlocks != 1 {
+					t.Fatalf("err %v after %d of %d blocks, report %v", err, blocks, lr.Blocks(), lr.Salvage())
 				}
 			case "cancel":
 				if !errors.Is(err, context.Canceled) {

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sword/internal/report"
@@ -96,20 +97,19 @@ type BatchAnalyzer struct {
 }
 
 // NewBatchAnalyzer recovers the structure and plans the full unit-pair
-// work list. Salvage mode is rejected: quarantine decisions depend on a
-// full stream over every log, which is exactly what distribution avoids —
-// damaged traces are a single-process `swordoffline -salvage` job.
+// work list. Batches cannot quarantine — a quarantine decision on one
+// worker would have to reach every other — so damage is an error here
+// and in AnalyzeUnits, a *trace.SalvageReport for the caller to fall
+// back to a single-process analysis, which salvages.
 func NewBatchAnalyzer(store trace.Store, cfg Config) (*BatchAnalyzer, error) {
-	if cfg.Salvage {
-		return nil, fmt.Errorf("core: batch analysis does not support salvage mode; analyze damaged traces in one process")
-	}
 	a := New(store, cfg)
-	pcs, _, err := a.loadPCs()
+	pcs, pcDamage := a.loadPCs()
+	s, err := buildStructure(store)
 	if err != nil {
 		return nil, err
 	}
-	s, err := buildStructure(store, false)
-	if err != nil {
+	s.damage = slices.Concat(pcDamage, s.damage)
+	if err := a.damage(s).Err(); err != nil {
 		return nil, err
 	}
 	budget := cfg.ResidentBudget
@@ -325,6 +325,10 @@ func (b *BatchAnalyzer) AnalyzeUnits(ctx context.Context, units []PairUnit) (*re
 			}
 		}
 	}()
+	b.a.applyQuarantine(b.s, missing)
+	if err := b.a.damage(b.s).Err(); err != nil {
+		return nil, err
+	}
 	rep := report.New()
 	b.eng.setReport(rep)
 	before := b.eng.snapshot()

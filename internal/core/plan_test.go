@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -197,12 +198,32 @@ func TestBatchAnalyzerCancel(t *testing.T) {
 	}
 }
 
-// TestBatchAnalyzerRejectsSalvage: distributed analysis refuses salvage
-// mode — quarantine decisions need the full single-process stream.
-func TestBatchAnalyzerRejectsSalvage(t *testing.T) {
+// TestBatchAnalyzerDamagedTrace: batches cannot quarantine, so damage is
+// the typed error — from the planner for a torn meta stream, and from
+// AnalyzeUnits for a corrupt log block.
+func TestBatchAnalyzerDamagedTrace(t *testing.T) {
 	store := collectStore(t, planPrograms["flat-racy"])
-	if _, err := NewBatchAnalyzer(store, Config{Salvage: true}); err == nil {
-		t.Fatal("NewBatchAnalyzer accepted Salvage mode")
+	damaged := func(file string, mutate func([]byte) []byte) trace.Store {
+		fs := trace.NewFaultStore(store)
+		fs.SetMutateRead(func(name string, data []byte) []byte {
+			if name != file {
+				return data
+			}
+			return mutate(append([]byte(nil), data...))
+		})
+		return fs
+	}
+	tornMeta := damaged("meta:0", func(b []byte) []byte { return b[:len(b)-3] })
+	if _, err := NewBatchAnalyzer(tornMeta, Config{}); !errors.Is(err, trace.ErrTraceDamaged) {
+		t.Fatalf("NewBatchAnalyzer on a torn meta stream: %v", err)
+	}
+	corruptLog := damaged("log:0", func(b []byte) []byte { b[len(b)/2] ^= 0xFF; return b })
+	b, err := NewBatchAnalyzer(corruptLog, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.AnalyzeUnits(context.Background(), b.Units()); !errors.Is(err, trace.ErrTraceDamaged) {
+		t.Fatalf("AnalyzeUnits over a corrupt log: %v", err)
 	}
 }
 

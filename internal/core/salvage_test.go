@@ -1,8 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
+	"math/bits"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"sword/internal/compress"
 	"sword/internal/memsim"
@@ -78,11 +83,11 @@ func sitesEqual(a, b [][4]uint64) bool {
 	return true
 }
 
-// TestSalvageCrashMidRun is the end-to-end crash simulation of the issue's
-// acceptance criteria: the store dies mid-run (global byte budget runs out,
-// final write torn), and salvage-mode analysis of the wreckage must recover
-// the intact prefix of every slot, analyze the surviving interval pairs,
-// and report the same races the uncorrupted run reports.
+// TestSalvageCrashMidRun is the end-to-end crash simulation: the store
+// dies mid-run (global byte budget runs out, final write torn), and the
+// analysis of the wreckage must recover the intact prefix of every slot,
+// analyze the surviving interval pairs, report the same races the
+// uncorrupted run reports, and return the damage as an error beside them.
 func TestSalvageCrashMidRun(t *testing.T) {
 	clean := trace.NewMemStore()
 	if err := racyWorkload(t, clean, 400); err != nil {
@@ -105,9 +110,9 @@ func TestSalvageCrashMidRun(t *testing.T) {
 	}
 
 	metrics := obs.New()
-	salvRep, err := New(crashed, Config{Salvage: true, Obs: metrics}).Analyze()
-	if err != nil {
-		t.Fatalf("salvage analysis failed: %v", err)
+	salvRep, err := New(crashed, Config{Obs: metrics}).Analyze()
+	if !errors.Is(err, trace.ErrTraceDamaged) || salvRep == nil {
+		t.Fatalf("salvage analysis: report %v, error %v; want both, the error damage", salvRep != nil, err)
 	}
 	st := salvRep.Stats
 	if !st.Partial() {
@@ -138,8 +143,8 @@ func TestSalvageCrashMidRun(t *testing.T) {
 }
 
 // TestSalvageCorruptBlock flips one byte in the middle of a slot's log:
-// strict analysis must fail, salvage analysis must quarantine only the
-// damaged data and still report the races of the healthy remainder.
+// the analysis must fail with the damage, quarantine only the damaged
+// data, and still report the races of the healthy remainder.
 func TestSalvageCorruptBlock(t *testing.T) {
 	mem := trace.NewMemStore()
 	if err := racyWorkload(t, mem, 40); err != nil {
@@ -160,12 +165,12 @@ func TestSalvageCorruptBlock(t *testing.T) {
 		return flipped
 	})
 
-	if _, err := New(fs, Config{}).Analyze(); err == nil {
+	salvRep, err := New(fs, Config{}).Analyze()
+	if err == nil {
 		t.Fatal("strict analysis succeeded on a corrupt log")
 	}
-
-	salvRep, err := New(fs, Config{Salvage: true}).Analyze()
-	if err != nil {
+	var dmg *trace.SalvageReport
+	if !errors.As(err, &dmg) || dmg.CorruptBlocks == 0 || salvRep == nil {
 		t.Fatalf("salvage analysis failed: %v", err)
 	}
 	st := salvRep.Stats
@@ -199,8 +204,8 @@ func TestSalvageTornMeta(t *testing.T) {
 		return data[:len(data)/2]
 	})
 
-	salvRep, err := New(fs, Config{Salvage: true}).Analyze()
-	if err != nil {
+	salvRep, err := New(fs, Config{}).Analyze()
+	if !errors.Is(err, trace.ErrTraceDamaged) || salvRep == nil {
 		t.Fatalf("salvage analysis failed: %v", err)
 	}
 	st := salvRep.Stats
@@ -215,37 +220,250 @@ func TestSalvageTornMeta(t *testing.T) {
 	}
 }
 
-// TestSalvageCleanTrace pins the no-damage invariant: on an intact trace,
-// salvage mode returns exactly the strict-mode result and reports nothing
-// partial.
+// TestSalvageCleanTrace pins the no-damage invariant: on an intact trace
+// the analysis returns no error, notes nothing, and leaves every salvage
+// coverage stat at zero — single-pass and batched alike.
 func TestSalvageCleanTrace(t *testing.T) {
 	mem := trace.NewMemStore()
 	if err := racyWorkload(t, mem, 40); err != nil {
 		t.Fatal(err)
 	}
-	strict, err := New(mem, Config{}).Analyze()
+	single, err := New(mem, Config{}).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	salv, err := New(mem, Config{Salvage: true}).Analyze()
+	batched, err := New(mem, Config{SubtreeBatch: 1}).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if salv.Stats.Partial() {
-		t.Fatalf("clean trace reported partial: %+v", salv.Stats)
+	for _, rep := range []*report.Report{single, batched} {
+		st := rep.Stats
+		if st.Partial() || st.IntervalsQuarantined != 0 || st.CorruptBlocks != 0 ||
+			st.TruncatedSlots != 0 || st.SalvagedBytes != 0 || st.LostBytes != 0 {
+			t.Fatalf("salvage stats set on an intact trace: %+v", st)
+		}
+		if n := rep.Notes(); len(n) != 0 {
+			t.Fatalf("notes on an intact trace: %q", n)
+		}
 	}
-	if salv.Stats.IntervalsQuarantined != 0 {
-		t.Fatalf("quarantined intervals on a clean trace: %+v", salv.Stats)
+	if single.Len() == 0 || !sitesEqual(raceSites(batched), raceSites(single)) {
+		t.Fatalf("batched analysis diverges on a clean trace:\nsingle:\n%s\nbatched:\n%s", single, batched)
 	}
-	if !sitesEqual(raceSites(salv), raceSites(strict)) {
-		t.Fatalf("salvage races differ from strict on a clean trace:\nstrict:\n%s\nsalvage:\n%s", strict, salv)
+}
+
+// TestDamageNotesDeterministic: the notes of one damaged trace come out in
+// one order — slot, then offset — whatever the worker count and however
+// often it is analyzed.
+func TestDamageNotesDeterministic(t *testing.T) {
+	mem := trace.NewMemStore()
+	if err := racyWorkload(t, mem, 40); err != nil {
+		t.Fatal(err)
 	}
-	// Salvage must also compose with the streaming batches.
-	batched, err := New(mem, Config{Salvage: true, SubtreeBatch: 1}).Analyze()
+	fs := trace.NewFaultStore(mem)
+	fs.SetMutateRead(func(name string, data []byte) []byte {
+		if name != "log:0" && name != "log:1" {
+			return data
+		}
+		damaged := append([]byte(nil), data...)
+		for _, at := range []int{len(damaged) / 4, len(damaged) / 2} {
+			damaged[at] ^= 0xFF
+		}
+		return damaged[:len(damaged)-len(damaged)/8]
+	})
+	var want []string
+	for _, workers := range []int{1, 4} {
+		for i := 0; i < 20; i++ {
+			rep, err := New(fs, Config{Workers: workers}).Analyze()
+			if !errors.Is(err, trace.ErrTraceDamaged) {
+				t.Fatalf("workers %d: %v", workers, err)
+			}
+			got := rep.Notes()
+			if want == nil {
+				if len(got) < 4 {
+					t.Fatalf("expected notes for damage in two slots, got %q", got)
+				}
+				want = got
+				continue
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("workers %d run %d: notes\n%q\nwant\n%q", workers, i, got, want)
+			}
+		}
+	}
+}
+
+// TestParentCycleQuarantined: damaged records can make regions each
+// other's parents. The cycle is quarantined with a note — the hereditary
+// quarantine walk must not follow it forever.
+func TestParentCycleQuarantined(t *testing.T) {
+	metas := []trace.Meta{
+		{PID: 1, PPID: 2, Span: 2, Level: 2, DataSize: 10},
+		{PID: 2, PPID: 1, Span: 2, Level: 2, DataBegin: 10, DataSize: 10},
+		{PID: 3, PPID: trace.NoParent, Span: 2, Level: 1, DataBegin: 20, DataSize: 10},
+	}
+	done := make(chan *structure)
+	go func() {
+		s := newStructure()
+		s.assemble([]slotRecords{{slot: 0, metas: metas}}, nil)
+		done <- s
+	}()
+	select {
+	case s := <-done:
+		if !s.regions[1].quarantined || !s.regions[2].quarantined || s.regions[3].quarantined {
+			t.Fatalf("quarantine: 1=%v 2=%v 3=%v", s.regions[1].quarantined, s.regions[2].quarantined, s.regions[3].quarantined)
+		}
+		if len(s.damage) == 0 {
+			t.Fatal("parent cycle not recorded as damage")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("assemble did not return on a parent cycle")
+	}
+}
+
+// TestLyingRawLengthBatched: a checksum-clean log block whose raw length
+// was hit ends the stream of the pass that decodes it. Under SubtreeBatch
+// 1 the second region's pass skips that block, takes the lying length on
+// trust and reads on at shifted offsets, which would move slot 0's
+// post-barrier reads into its pre-barrier intervals. The first pass's
+// truncation point must win: no invented race, and the same coverage
+// stats as the single-pass analysis, which decodes the block and stops
+// there.
+func TestLyingRawLengthBatched(t *testing.T) {
+	mem := trace.NewMemStore()
+	col := rt.New(mem, rt.Config{Synchronous: true, MaxEvents: 128, Codec: compress.Raw{}})
+	ww := pcreg.Site("lying-len:ww")
+	wr, rd, own := pcreg.Site("lying-len:write"), pcreg.Site("lying-len:read"), pcreg.Site("lying-len:own")
+	rtm := omp.New(omp.WithTool(col))
+	space := memsim.NewSpace(nil)
+	shared, _ := space.AllocF64(64)
+	handoff, _ := space.AllocF64(64)
+	private, _ := space.AllocF64(64)
+	rtm.Parallel(2, func(th *omp.Thread) { // a write-write race on shared
+		for round := 0; round < 20; round++ {
+			for i := 0; i < 64; i++ {
+				th.StoreF64(shared, i, 1, ww)
+			}
+			th.Barrier()
+		}
+	})
+	rtm.Parallel(2, func(th *omp.Thread) { // a race-free hand-off
+		for round := 0; round < 20; round++ {
+			for i := 0; i < 64; i++ {
+				if th.ID() == 1 {
+					th.StoreF64(handoff, i, 1, wr)
+				} else {
+					th.StoreF64(private, i, 1, own)
+				}
+			}
+			th.Barrier()
+			if th.ID() == 0 {
+				for i := 0; i < 64; i++ {
+					th.LoadF64(handoff, i, rd)
+				}
+			}
+			th.Barrier()
+		}
+	})
+	if err := col.Close(); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := New(mem, Config{}).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sitesEqual(raceSites(batched), raceSites(strict)) {
-		t.Fatal("salvage + SubtreeBatch diverges from strict analysis")
+	if clean.Len() == 0 {
+		t.Fatal("clean run found no races; workload broken")
+	}
+
+	// Shrink the raw length of the block holding slot 0's logical
+	// position total/4 — mid first region — by the top bit of its last
+	// uvarint byte.
+	fs := trace.NewFaultStore(mem)
+	fs.SetMutateRead(func(name string, data []byte) []byte {
+		if name != "log:0" {
+			return data
+		}
+		type block struct{ lenAt, lenEnd, start uint64 }
+		var blocks []block
+		var logical uint64
+		for off := len("SWL2\x00"); off < len(data); {
+			rawLen, n := binary.Uvarint(data[off:])
+			compLen, m := binary.Uvarint(data[off+n:])
+			blocks = append(blocks, block{uint64(off), uint64(off + n), logical})
+			logical += rawLen
+			off += n + m + 1 + 4 + int(compLen)
+		}
+		b := blocks[0]
+		for _, c := range blocks {
+			if c.start <= logical/4 {
+				b = c
+			}
+		}
+		if b.start == 0 || b.lenEnd-b.lenAt < 2 {
+			t.Fatalf("no multi-byte raw length mid first region: %+v", b)
+		}
+		hit := append([]byte(nil), data...)
+		last := hit[b.lenEnd-1]
+		hit[b.lenEnd-1] = last &^ (1 << (bits.Len8(last) - 1))
+		return hit
+	})
+	single, serr := New(fs, Config{}).Analyze()
+	batched, berr := New(fs, Config{SubtreeBatch: 1}).Analyze()
+	for _, err := range []error{serr, berr} {
+		if !errors.Is(err, trace.ErrTraceDamaged) {
+			t.Fatalf("lying raw length not reported as damage: %v", err)
+		}
+	}
+	want := raceSites(clean)
+	for _, rep := range []*report.Report{single, batched} {
+		for _, got := range raceSites(rep) {
+			if !slices.Contains(want, got) {
+				t.Fatalf("invented race %v (clean %v):\n%s", got, want, rep)
+			}
+		}
+	}
+	if single.Stats.TruncatedSlots == 0 || single.Stats.IntervalsQuarantined == 0 {
+		t.Fatalf("lying raw length neither truncated nor quarantined: %+v", single.Stats)
+	}
+	// The solver memo's counters depend on the order pairs are compared.
+	coverage := func(st report.Stats) report.Stats {
+		st.SolverCalls, st.SolverCacheHits, st.SolverCacheMisses, st.SitesSuppressed = 0, 0, 0, 0
+		return st
+	}
+	if coverage(batched.Stats) != coverage(single.Stats) {
+		t.Fatalf("batched stats\n%+v\nwant the single pass's\n%+v", batched.Stats, single.Stats)
+	}
+}
+
+// TestDamagedPCTableOnce: a damaged pc table is damage — a note and the
+// typed error — and analyzing twice with one Analyzer lists it once each
+// time.
+func TestDamagedPCTableOnce(t *testing.T) {
+	mem := trace.NewMemStore()
+	if err := racyWorkload(t, mem, 4); err != nil {
+		t.Fatal(err)
+	}
+	fs := trace.NewFaultStore(mem)
+	fs.SetMutateRead(func(name string, data []byte) []byte {
+		if name == "aux:pctable" {
+			return []byte("not a pc table\n")
+		}
+		return data
+	})
+	a := New(fs, Config{})
+	var want []string
+	for i := 0; i < 2; i++ {
+		rep, err := a.Analyze()
+		if !errors.Is(err, trace.ErrTraceDamaged) || rep == nil || rep.Len() == 0 {
+			t.Fatalf("run %d: want races beside the damage, got %v", i, err)
+		}
+		if want == nil {
+			want = rep.Notes()
+		} else if got := rep.Notes(); !slices.Equal(got, want) {
+			t.Fatalf("second run notes %q, first %q", got, want)
+		}
+	}
+	if len(want) != 1 {
+		t.Fatalf("want one note for the pc table, got %q", want)
 	}
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"sword/internal/itree"
@@ -37,8 +40,8 @@ type region struct {
 
 	// quarantined marks a region whose concurrency structure could not be
 	// recovered from a damaged trace (a lost parent, an unresolvable
-	// chain): salvage-mode analysis excludes its intervals rather than
-	// guessing at concurrency.
+	// chain): the analysis excludes its intervals rather than guessing at
+	// concurrency.
 	quarantined bool
 }
 
@@ -84,8 +87,8 @@ type interval struct {
 	cert    *certInfo
 	certRow int
 
-	// quarantined excludes the interval from salvage-mode analysis: its
-	// log data intersects a lost range, extends past a truncated log, or
+	// quarantined excludes the interval from the analysis: its log data
+	// intersects a lost range, extends past a truncated log, or
 	// its region's structure is unrecoverable. The flag persists across
 	// SubtreeBatch batches.
 	quarantined bool
@@ -236,14 +239,15 @@ type structure struct {
 	topGroups map[uint64][]*region
 	certs     []*certInfo // static loop certificates (cert.go)
 
-	// Salvage-mode bookkeeping (empty after a strict build).
-	notes             []string     // human-readable damage annotations
-	truncatedMeta     map[int]bool // slots whose meta stream ended torn
-	metaSalvagedBytes uint64       // encoded bytes of intact meta records
+	// Damage found while recovering the structure, in a deterministic
+	// order; empty on an intact trace.
+	damage        []trace.SalvageEntry
+	truncatedMeta map[int]bool // slots whose meta stream ended torn
 }
 
+// note records structural damage that has no single file position.
 func (s *structure) note(format string, args ...any) {
-	s.notes = append(s.notes, fmt.Sprintf(format, args...))
+	s.damage = append(s.damage, trace.SalvageEntry{Block: -1, Cause: fmt.Sprintf(format, args...)})
 }
 
 // slotRecords is one slot's decoded meta stream: the input unit assemble
@@ -256,81 +260,64 @@ type slotRecords struct {
 }
 
 // newStructure returns an empty structure ready for assemble.
-func newStructure(salvage bool) *structure {
-	s := &structure{
-		regions:   make(map[uint64]*region),
-		intervals: make(map[trace.IntervalKey]*interval),
-		bySlot:    make(map[int][]*interval),
-		topGroups: make(map[uint64][]*region),
+func newStructure() *structure {
+	return &structure{
+		regions:       make(map[uint64]*region),
+		intervals:     make(map[trace.IntervalKey]*interval),
+		bySlot:        make(map[int][]*interval),
+		topGroups:     make(map[uint64][]*region),
+		truncatedMeta: make(map[int]bool),
 	}
-	if salvage {
-		s.truncatedMeta = make(map[int]bool)
-	}
-	return s
 }
 
 // buildStructure loads every slot's meta-data file plus the taskwaits
-// table and reconstructs regions and intervals. In salvage mode damage is
-// tolerated: torn meta streams contribute their intact prefix, and regions
+// table and reconstructs regions and intervals. Damage is recorded, not
+// fatal: torn meta streams contribute their intact prefix, and regions
 // whose structure cannot be recovered (a parent lost with a damaged slot)
-// are quarantined together with their intervals instead of failing the
-// analysis.
-func buildStructure(store trace.Store, salvage bool) (*structure, error) {
+// are quarantined together with their intervals.
+func buildStructure(store trace.Store) (*structure, error) {
 	slots, err := store.Slots()
 	if err != nil {
 		return nil, fmt.Errorf("core: list slots: %w", err)
 	}
+	s := newStructure()
 	taskWaits := map[uint64]uint64{}
 	if aux, err := store.OpenAux("taskwaits"); err == nil {
-		var twErr error
-		taskWaits, twErr = trace.ReadTaskWaits(aux)
-		if twErr != nil {
-			if !salvage {
-				return nil, twErr
-			}
+		if taskWaits, err = trace.ReadTaskWaits(aux); err != nil {
 			// Without taskwait cuts, task windows stay conservatively open
 			// ([forkCut, ∞)), which can only widen concurrency, not miss it.
+			s.damage = append(s.damage, trace.SalvageEntry{File: "aux taskwaits", Block: -1,
+				Cause: fmt.Sprintf("unreadable (%v); task windows left open", err)})
 			taskWaits = map[uint64]uint64{}
 		}
 	}
-	s := newStructure(salvage)
 	var inputs []slotRecords
 	for _, slot := range slots {
-		src, err := store.OpenMeta(slot)
-		if err != nil {
-			if salvage {
-				s.note("slot %d: meta file unreadable: %v", slot, err)
-				s.truncatedMeta[slot] = true
-				continue
-			}
-			return nil, fmt.Errorf("core: open meta %d: %w", slot, err)
-		}
 		var metas []trace.Meta
-		var slotCerts []trace.LoopCert
-		if salvage {
-			var srep *trace.SalvageReport
-			metas, slotCerts, srep, err = trace.ReadAllMetaCertsTolerant(src)
-			if err != nil {
-				s.note("slot %d: meta file unreadable: %v", slot, err)
-				s.truncatedMeta[slot] = true
-				continue
+		var certs []trace.LoopCert
+		src, err := store.OpenMeta(slot)
+		if err == nil {
+			metas, certs, err = trace.ReadAllMetaCerts(src)
+		}
+		if err != nil {
+			// A torn or damaged stream keeps its intact records; an
+			// unreadable one keeps none.
+			var rep *trace.SalvageReport
+			if !errors.As(err, &rep) {
+				rep = &trace.SalvageReport{Truncated: true,
+					Entries: []trace.SalvageEntry{{Block: -1, Cause: fmt.Sprintf("unreadable (%v)", err)}}}
 			}
-			s.metaSalvagedBytes += srep.SalvagedBytes
-			if !srep.Clean() {
+			if rep.Truncated {
 				s.truncatedMeta[slot] = true
-				s.note("slot %d: meta stream damaged after %d record(s): %s", slot, srep.IntactRecords, srep)
 			}
-		} else {
-			metas, slotCerts, err = trace.ReadAllMetaCerts(src)
-			if err != nil {
-				return nil, fmt.Errorf("core: read meta %d: %w", slot, err)
+			for _, e := range rep.Entries {
+				e.File = fmt.Sprintf("meta %d", slot)
+				s.damage = append(s.damage, e)
 			}
 		}
-		inputs = append(inputs, slotRecords{slot: slot, metas: metas, certs: slotCerts})
+		inputs = append(inputs, slotRecords{slot: slot, metas: metas, certs: certs})
 	}
-	if err := s.assemble(inputs, taskWaits, salvage); err != nil {
-		return nil, err
-	}
+	s.assemble(inputs, taskWaits)
 	return s, nil
 }
 
@@ -339,8 +326,10 @@ func buildStructure(store trace.Store, salvage bool) (*structure, error) {
 // marking, certificate attachment, and the deterministic sort passes. It
 // is the store-free half of buildStructure, shared with the streaming
 // analyzer, which rebuilds the structure from its accumulated tail records
-// on every analysis round.
-func (s *structure) assemble(inputs []slotRecords, taskWaits map[uint64]uint64, salvage bool) error {
+// on every analysis round. Inconsistent records are recorded as damage and
+// dropped or quarantined, never trusted.
+func (s *structure) assemble(inputs []slotRecords, taskWaits map[uint64]uint64) {
+	noted := len(s.damage)
 	var allCerts []trace.LoopCert
 	for _, in := range inputs {
 		slot := in.slot
@@ -364,11 +353,8 @@ func (s *structure) assemble(inputs []slotRecords, taskWaits map[uint64]uint64, 
 				s.bySlot[slot] = append(s.bySlot[slot], iv)
 			}
 			if iv.slot != slot {
-				if salvage {
-					s.note("slot %d: meta record for interval %+v conflicts with slot %d; record dropped", slot, key, iv.slot)
-					continue
-				}
-				return fmt.Errorf("core: interval %+v spans slots %d and %d", key, iv.slot, slot)
+				s.note("slot %d: meta record for interval %+v conflicts with slot %d; record dropped", slot, key, iv.slot)
+				continue
 			}
 			iv.frags = append(iv.frags, fragment{begin: m.DataBegin, size: m.DataSize, held: m.Held, cut: m.Cut})
 			// Fork coordinates are identical on every fragment of a region;
@@ -384,29 +370,28 @@ func (s *structure) assemble(inputs []slotRecords, taskWaits map[uint64]uint64, 
 		if r.ppid != trace.NoParent {
 			p, ok := s.regions[r.ppid]
 			if !ok {
-				if salvage {
-					// The parent's meta records were lost with a damaged
-					// slot: this region's position in the concurrency
-					// structure is unknowable, so its subtree is excluded.
-					r.quarantined = true
-					s.note("region %d references parent %d, lost with a damaged slot; subtree quarantined", r.id, r.ppid)
-					continue
-				}
-				return fmt.Errorf("core: region %d references unknown parent %d", r.id, r.ppid)
+				// The parent's meta records were lost with a damaged slot:
+				// this region's position in the concurrency structure is
+				// unknowable, so its subtree is excluded.
+				r.quarantined = true
+				s.note("region %d references parent %d, lost with a damaged slot; subtree quarantined", r.id, r.ppid)
+				continue
 			}
 			r.parent = p
 		}
 	}
-	if salvage {
-		// Quarantine is hereditary: a region below a quarantined ancestor
-		// has no recoverable position either.
-		for _, r := range s.regions {
-			for p := r.parent; p != nil; p = p.parent {
-				if p.quarantined {
-					r.quarantined = true
-					break
-				}
+	// Quarantine is hereditary: a region below a quarantined ancestor has
+	// no recoverable position either. A walk longer than the region count
+	// has entered a parent cycle, which damaged records can form.
+	for _, r := range s.regions {
+		steps := 0
+		for p := r.parent; p != nil && !r.quarantined; p = p.parent {
+			if steps++; steps > len(s.regions) {
+				r.quarantined = true
+				s.note("region %d: parent cycle; quarantined", r.id)
+				break
 			}
+			r.quarantined = p.quarantined
 		}
 	}
 	for _, r := range s.regions {
@@ -415,13 +400,10 @@ func (s *structure) assemble(inputs []slotRecords, taskWaits map[uint64]uint64, 
 			continue
 		}
 		if _, err := s.resolveFrames(r, 0); err != nil {
-			if salvage {
-				r.quarantined = true
-				r.top = r
-				s.note("region %d: %v; quarantined", r.id, err)
-				continue
-			}
-			return err
+			r.quarantined = true
+			r.top = r
+			s.note("region %d: %v; quarantined", r.id, err)
+			continue
 		}
 		top := r
 		for top.parent != nil {
@@ -442,18 +424,14 @@ func (s *structure) assemble(inputs []slotRecords, taskWaits map[uint64]uint64, 
 			iv.taskParent = true
 		}
 	}
-	if salvage {
-		for _, iv := range s.intervals {
-			if iv.region.quarantined {
-				iv.quarantined = true
-			}
+	for _, iv := range s.intervals {
+		if iv.region.quarantined {
+			iv.quarantined = true
 		}
 	}
 	// Certificates resolve last: trust depends on final quarantine flags
 	// and the fully linked region forest.
-	if err := s.attachCerts(allCerts, salvage); err != nil {
-		return err
-	}
+	s.attachCerts(allCerts)
 	// Deterministic fragment order within each interval and interval order
 	// within each slot (analysis routing relies on position order).
 	for _, iv := range s.intervals {
@@ -466,7 +444,9 @@ func (s *structure) assemble(inputs []slotRecords, taskWaits map[uint64]uint64, 
 	for _, rs := range s.topGroups {
 		sort.Slice(rs, func(i, j int) bool { return rs[i].id < rs[j].id })
 	}
-	return nil
+	// Damage found while walking the region map was noted in map order;
+	// sorted, reruns list it alike.
+	slices.SortStableFunc(s.damage[noted:], func(a, b trace.SalvageEntry) int { return strings.Compare(a.Cause, b.Cause) })
 }
 
 // resolveFrames expands a region's provisional single-frame tail into the

@@ -273,6 +273,17 @@ func (c *Coordinator) requeue(worker string, batch []*unitState, cause error) {
 	c.cond.Broadcast()
 }
 
+// abort fails the whole run with err: no retry could complete it.
+func (c *Coordinator) abort(err error) {
+	c.mu.Lock()
+	if c.failed == nil {
+		c.failed = err
+	}
+	c.finish()
+	c.mu.Unlock()
+	c.cond.Broadcast()
+}
+
 // inflight is one dispatched, unacknowledged batch on a connection.
 type inflight struct {
 	seq      uint64
@@ -526,6 +537,11 @@ func (c *Coordinator) readResults(w *workerConn, slots chan struct{}) {
 			w.mu.Unlock()
 			if inf == nil {
 				w.fail(fmt.Errorf("result for batch %d arrived out of order", res.Seq))
+				return
+			}
+			if res.Damage != nil {
+				c.abort(fmt.Errorf("dist: worker %s, batch %d: %w", w.name, res.Seq, res.Damage))
+				w.stopQuiet()
 				return
 			}
 			if res.Err != "" {

@@ -333,3 +333,33 @@ func TestCoordinatorRejectsVersionMismatch(t *testing.T) {
 		t.Fatal("coordinator answered a version-mismatched hello instead of closing")
 	}
 }
+
+// TestLocalDamagedTrace: batches cannot quarantine, so a damaged trace
+// fails the distributed run with the typed damage error — from the planner
+// for a torn meta stream, and from a worker, across the wire or inline,
+// for a corrupt log block.
+func TestLocalDamagedTrace(t *testing.T) {
+	store := collectWorkload(t, "c_md")
+	damaged := func(file string, mutate func([]byte) []byte) trace.Store {
+		fs := trace.NewFaultStore(store)
+		fs.SetMutateRead(func(name string, data []byte) []byte {
+			if name != file {
+				return data
+			}
+			return mutate(append([]byte(nil), data...))
+		})
+		return fs
+	}
+	tornMeta := damaged("meta:0", func(b []byte) []byte { return b[:len(b)-3] })
+	if _, err := Local(context.Background(), tornMeta, 2, WithInlineBelow(-1)); !errors.Is(err, trace.ErrTraceDamaged) {
+		t.Fatalf("torn meta: %v", err)
+	}
+	corrupt := damaged("log:0", func(b []byte) []byte { b[len(b)/2] ^= 0xFF; return b })
+	for _, inline := range []int64{-1, 1 << 40} {
+		_, err := Local(context.Background(), corrupt, 2, WithInlineBelow(inline), WithMaxAttempts(2))
+		var rep *trace.SalvageReport
+		if !errors.As(err, &rep) || rep.CorruptBlocks == 0 {
+			t.Fatalf("inline cutoff %d: corrupt log gave %v", inline, err)
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"sword/internal/core"
 	"sword/internal/obs"
 	"sword/internal/report"
+	"sword/internal/trace"
 )
 
 // Wire protocol: every message is one frame,
@@ -115,6 +116,10 @@ type Result struct {
 	Stats  report.Stats
 	BusyNs int64
 	Err    string
+	// Damage is set when the batch failed on trace damage. Batches cannot
+	// quarantine, so the coordinator fails the run with it instead of
+	// retrying a batch that would fail the same way.
+	Damage *trace.SalvageReport
 }
 
 // Heartbeat keeps the coordinator's liveness timer fed during long

@@ -247,6 +247,9 @@ func runBatch(ctx context.Context, fr *framer, ba *core.BatchAnalyzer, batch *Ba
 	res := Result{Seq: batch.Seq, BusyNs: int64(busy)}
 	var death errHookDeath
 	switch {
+	case errors.As(err, &res.Damage):
+		res.Err = err.Error()
+		cfg.Obs.Counter("dist.worker_batches_failed").Inc()
 	case err == nil:
 		res.Races = rep.Races()
 		res.Stats = rep.Stats

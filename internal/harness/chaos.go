@@ -37,7 +37,7 @@ func chaosWorkload(store trace.Store) (collectErr, setupErr error) {
 // ChaosExperiment is the crash-tolerance demonstration: the same racy
 // program is collected twice — once onto a healthy store, once onto a
 // store that runs out of space mid-run and tears its final write — and
-// the damaged trace is analyzed in salvage mode. The artifact shows how
+// the damaged trace is analyzed, salvaging what survived. The artifact shows how
 // much of the trace survived and that the races of the intact prefix are
 // preserved: the end-to-end property the format-v2 integrity framing and
 // the quarantining analyzer exist for.
@@ -60,8 +60,8 @@ func ChaosExperiment() string {
 		return fmt.Sprintf("chaos: crashed collection setup failed: %v\n", err)
 	}
 
-	salvRep, salvStats, err := sword.AnalyzeStore(crashedStore, sword.WithSalvage(true))
-	if err != nil {
+	salvRep, salvStats, err := sword.AnalyzeStore(crashedStore)
+	if salvRep == nil {
 		return fmt.Sprintf("chaos: salvage analysis failed: %v\n", err)
 	}
 
@@ -73,23 +73,10 @@ func ChaosExperiment() string {
 		salvRep.Len(), st.IntervalsQuarantined, st.Intervals)
 	fmt.Fprintf(&b, "coverage:     %d corrupt block(s), %d truncated slot(s), %d bytes salvaged, %d bytes lost\n",
 		st.CorruptBlocks, st.TruncatedSlots, st.SalvagedBytes, st.LostBytes)
-	fmt.Fprintf(&b, "partial:      %v (swordoffline would exit %d)\n", salvStats.Partial(), exitCode(salvRep))
+	fmt.Fprintf(&b, "partial:      %v (swordoffline would exit %d)\n", salvStats.Partial(), sword.ExitCode(salvRep, err))
 	fmt.Fprintf(&b, "races kept:   %v (the intact prefix reports the same race sites as the clean run)\n",
 		sameRaceSites(cleanRep, salvRep))
 	return b.String()
-}
-
-// exitCode mirrors cmd/swordoffline's exit-code contract.
-func exitCode(rep *sword.Report) int {
-	switch {
-	case rep.Stats.Partial() && rep.Len() > 0:
-		return 5
-	case rep.Stats.Partial():
-		return 4
-	case rep.Len() > 0:
-		return 3
-	}
-	return 0
 }
 
 // sameRaceSites compares two reports by their unordered PC site pairs.

@@ -77,11 +77,6 @@ type Options struct {
 	// top-level region subtrees (bounded resident memory, block-skipping
 	// streaming); 0 means one pass.
 	SubtreeBatch int
-	// Salvage analyzes sword's offline phase in graceful-degradation mode:
-	// damaged traces are recovered instead of failing the run (see
-	// sword.WithSalvage). The chaos experiment uses it; regular
-	// measurements leave it off so trace damage fails loudly.
-	Salvage bool
 	// AllRaces disables sword's race-site suppression in the offline
 	// phase (see sword.WithAllRaces): every node pair of a confirmed-racy
 	// site is still solved so each race's Count reflects every instance.
@@ -255,7 +250,6 @@ func Run(w workloads.Workload, tool Tool, opts Options) (Result, error) {
 			oaStart := time.Now()
 			oaRep, _, err := sword.AnalyzeStore(store, sword.WithWorkers(1),
 				sword.WithSubtreeBatch(opts.SubtreeBatch),
-				sword.WithSalvage(opts.Salvage),
 				sword.WithNoPrefilter(opts.NoPrefilter),
 				sword.WithAllRaces(opts.AllRaces))
 			if err != nil {
@@ -270,7 +264,6 @@ func Run(w workloads.Workload, tool Tool, opts Options) (Result, error) {
 			mtRep, mtStats, err := sword.AnalyzeStore(store,
 				sword.WithWorkers(mtWorkers),
 				sword.WithSubtreeBatch(opts.SubtreeBatch),
-				sword.WithSalvage(opts.Salvage),
 				sword.WithNoPrefilter(opts.NoPrefilter),
 				sword.WithAllRaces(opts.AllRaces),
 				sword.WithObs(sess.Metrics()))

@@ -4,9 +4,10 @@
 package report
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -64,7 +65,7 @@ func (r Race) normKey() key {
 }
 
 // Stats captures analysis effort counters for the experiment tables, plus
-// the coverage counters of salvage-mode analysis over a damaged trace.
+// the coverage counters of an analysis over a damaged trace.
 type Stats struct {
 	Intervals       int    // barrier intervals analyzed
 	IntervalPairs   int    // concurrent interval pairs compared
@@ -97,8 +98,9 @@ type Stats struct {
 	// structural position. Retired pairs never reach the comparison engine.
 	PairsRetiredStatic uint64
 
-	// Salvage coverage: how much of the trace survived. All zero for a
-	// clean trace (or strict-mode analysis, which errors out instead).
+	// Salvage coverage: how much of a damaged trace survived. All zero on
+	// an intact trace; on a damaged one the analysis also returns the
+	// damage as its error (trace.ErrTraceDamaged).
 	IntervalsQuarantined int    // intervals excluded because their data was lost
 	CorruptBlocks        int    // log blocks that failed their integrity check
 	TruncatedSlots       int    // slots whose log or meta stream ended torn
@@ -165,7 +167,9 @@ func (r *Report) Add(race Race) {
 	r.races[k] = &race
 }
 
-// Races returns the deduplicated races sorted by source locations.
+// Races returns the deduplicated races sorted by source locations, then
+// operations, then pc ids, then witness address — a total order, so the
+// rendering of a report never depends on the order races were added.
 func (r *Report) Races() []Race {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -173,11 +177,10 @@ func (r *Report) Races() []Race {
 	for _, race := range r.races {
 		out = append(out, *race)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].First.Source != out[j].First.Source {
-			return out[i].First.Source < out[j].First.Source
-		}
-		return out[i].Second.Source < out[j].Second.Source
+	slices.SortFunc(out, func(a, b Race) int {
+		return cmp.Or(cmp.Compare(a.First.Source, b.First.Source), cmp.Compare(a.Second.Source, b.Second.Source),
+			cmp.Compare(a.First.op(), b.First.op()), cmp.Compare(a.Second.op(), b.Second.op()),
+			cmp.Compare(a.First.PC, b.First.PC), cmp.Compare(a.Second.PC, b.Second.PC), cmp.Compare(a.Addr, b.Addr))
 	})
 	return out
 }
@@ -204,8 +207,9 @@ func (r *Report) Resymbolize(name func(pc uint64) string) {
 	}
 }
 
-// Note records an annotation about the analysis — salvage mode uses it to
-// say what was lost and why. Safe for concurrent use.
+// Note records an annotation about the analysis — an analysis over a
+// damaged trace uses it to say what was lost and why. Safe for concurrent
+// use.
 func (r *Report) Note(format string, args ...any) {
 	r.mu.Lock()
 	r.notes = append(r.notes, fmt.Sprintf(format, args...))
@@ -220,7 +224,7 @@ func (r *Report) Notes() []string {
 }
 
 // String renders the full report, one race per line, with a summary and
-// any salvage notes.
+// any notes.
 func (r *Report) String() string {
 	races := r.Races()
 	var b strings.Builder

@@ -48,6 +48,40 @@ func TestRacesSorted(t *testing.T) {
 	}
 }
 
+// TestRacesTotalOrder: races that tie on both source names — different
+// ops on one site pair, several pcs behind one name — still render in one
+// order, whatever order they were added in.
+func TestRacesTotalOrder(t *testing.T) {
+	races := []Race{
+		{First: Side{PC: 1, Source: "s.go:1", Write: true}, Second: Side{PC: 2, Source: "s.go:2"}, Addr: 0x10},
+		{First: Side{PC: 1, Source: "s.go:1", Write: true}, Second: Side{PC: 2, Source: "s.go:2", Write: true}, Addr: 0x20},
+		{First: Side{PC: 1, Source: "s.go:1"}, Second: Side{PC: 2, Source: "s.go:2", Atomic: true, Write: true}, Addr: 0x30},
+		{First: Side{PC: 3, Source: "s.go:1", Write: true}, Second: Side{PC: 2, Source: "s.go:2"}, Addr: 0x40},
+		{First: Side{PC: 4, Source: "s.go:1", Write: true}, Second: Side{PC: 5, Source: "s.go:2"}, Addr: 0x50},
+		{First: Side{PC: 6, Source: "pc(6)", Write: true}, Second: Side{PC: 7, Source: "pc(6)"}, Addr: 0x60},
+	}
+	render := func(order []int) (string, string) {
+		r := New()
+		for _, i := range order {
+			r.Add(races[i])
+		}
+		data, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.String(), string(data)
+	}
+	wantText, wantJSON := render([]int{0, 1, 2, 3, 4, 5})
+	for _, order := range [][]int{{5, 4, 3, 2, 1, 0}, {2, 5, 0, 3, 1, 4}, {3, 1, 4, 0, 5, 2}} {
+		for trial := 0; trial < 10; trial++ {
+			text, js := render(order)
+			if text != wantText || js != wantJSON {
+				t.Fatalf("insertion order %v changed the rendering:\n%s\nwant:\n%s", order, text, wantText)
+			}
+		}
+	}
+}
+
 func TestStringRendering(t *testing.T) {
 	r := New()
 	r.Add(Race{

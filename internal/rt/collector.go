@@ -222,7 +222,7 @@ type slotState struct {
 	// for production runs is graceful degradation, not abort: the failure
 	// is counted (rt.flush_errors) and diagnosed, further log blocks and
 	// meta records for the slot are dropped — truncating its trace at the
-	// last successfully written byte, a prefix the salvage-mode analyzer
+	// last successfully written byte, a prefix the offline analyzer
 	// recovers — and the application keeps running undisturbed.
 	degraded atomic.Bool
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"sword/internal/stream"
-	"sword/internal/trace"
 )
 
 // Upload layout: files must be named exactly as a DirStore lays a trace
@@ -217,9 +216,8 @@ func (s *Server) abortUpload(u *uploadSession) {
 // commitUpload turns a completed session into a queued job, returning a
 // snapshot of the fresh record (a runner may start mutating the live one
 // the moment the lock drops). A damaged or torn upload is not rejected:
-// validation failure flags the job for salvage-mode analysis and the
-// eventual report is partial — the graceful-degradation contract for
-// half-written production traces.
+// its analysis salvages what survived and the job finishes partial — the
+// graceful-degradation contract for half-written production traces.
 func (s *Server) commitUpload(u *uploadSession) (Job, error) {
 	s.mu.Lock()
 	if _, live := s.uploads[u.id]; !live {
@@ -240,12 +238,8 @@ func (s *Server) commitUpload(u *uploadSession) (Job, error) {
 	}
 	s.mu.Unlock()
 	// The committed job's analysis is authoritative from here; the live
-	// lane lets go of the trace files before validation reads them.
+	// lane lets go of the trace files before it reads them.
 	u.stopLive()
-	j.Salvage = uploadDamaged(j)
-	if j.Salvage {
-		s.m.Counter("server.uploads_damaged").Inc()
-	}
 	s.mu.Lock()
 	if s.draining || s.closed {
 		// The session already left s.uploads, so abortUpload would see it
@@ -262,17 +256,6 @@ func (s *Server) commitUpload(u *uploadSession) (Job, error) {
 	snap := *j
 	s.mu.Unlock()
 	return snap, nil
-}
-
-// uploadDamaged validates the uploaded trace; any integrity failure
-// routes the job to salvage-mode analysis.
-func uploadDamaged(j *Job) bool {
-	store, err := trace.NewDirStore(j.traceDir())
-	if err != nil {
-		return true
-	}
-	defer store.Close()
-	return trace.Validate(store) != nil
 }
 
 // shed writes the admission-control rejection: 429 with Retry-After for

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"sword/internal/core"
-	"sword/internal/dist"
 	"sword/internal/report"
 	"sword/internal/trace"
 )
@@ -22,7 +21,7 @@ const (
 	StateQueued   = "queued"
 	StateRunning  = "running"
 	StateDone     = "done"    // clean analysis, full coverage
-	StatePartial  = "partial" // salvage-mode analysis of a damaged upload
+	StatePartial  = "partial" // damaged upload: report of what survived
 	StateFailed   = "failed"
 	StateCanceled = "canceled"
 )
@@ -34,7 +33,7 @@ type Job struct {
 	Tenant     string    `json:"tenant"`
 	State      string    `json:"state"`
 	Bytes      int64     `json:"bytes"`             // admitted upload size
-	Salvage    bool      `json:"salvage,omitempty"` // damaged upload: graceful-degradation analysis
+	Salvage    bool      `json:"salvage,omitempty"` // the analysis found the upload damaged
 	Attempts   int       `json:"attempts"`
 	MemBudget  int64     `json:"mem_budget"` // current per-attempt analyzer budget
 	Error      string    `json:"error,omitempty"`
@@ -143,10 +142,11 @@ func (s *Server) runner() {
 }
 
 // runAttempt executes one bounded attempt of j and routes the outcome:
-// success finishes the job, drain requeues it for the next incarnation,
-// a heap-guard trip halves the budget and retries, a damaged trace falls
-// back to salvage mode, and anything else retries under the dist
-// backoff discipline until MaxAttempts fails it loud.
+// success finishes the job, a damaged trace finishes it partial with the
+// report of what survived, drain requeues it for the next incarnation, a
+// heap-guard trip halves the budget and retries, and anything else
+// retries under the dist backoff discipline until MaxAttempts fails it
+// loud.
 func (s *Server) runAttempt(j *Job) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	tctx, tcancel := context.WithTimeout(ctx, s.cfg.JobTimeout)
@@ -163,19 +163,28 @@ func (s *Server) runAttempt(j *Job) {
 	j.cancel = cancel
 	j.Attempts++
 	_ = s.persistJob(j)
-	salvage, memBudget := j.Salvage, j.MemBudget
+	memBudget := j.MemBudget
 	s.mu.Unlock()
 
-	rep, err := s.analyze(tctx, j, salvage, memBudget)
+	rep, err := s.analyze(tctx, j, memBudget)
 	tcancel()
-	cause := context.Cause(ctx)
-	cancel(nil)
 
+	// Every canceller runs under s.mu: a cancel answered 202 still lands.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j.cancel = nil
+	cause := context.Cause(ctx)
+	cancel(nil)
 	switch {
+	case errors.Is(cause, errCanceled):
+		s.finishJob(j, nil, errCanceled)
 	case err == nil:
+		s.finishJob(j, rep, nil)
+	case errors.Is(err, trace.ErrTraceDamaged):
+		if !j.Salvage {
+			j.Salvage = true
+			s.m.Counter("server.uploads_damaged").Inc()
+		}
 		s.finishJob(j, rep, nil)
 	case errors.Is(cause, errDraining):
 		j.Attempts-- // drain is the server's fault, not the job's
@@ -183,19 +192,10 @@ func (s *Server) runAttempt(j *Job) {
 		j.RetryAt = time.Time{}
 		s.sched.push(j)
 		s.m.Counter("server.jobs_requeued").Inc()
-	case errors.Is(cause, errCanceled):
-		s.finishJob(j, nil, errCanceled)
 	case errors.Is(cause, errMemGuard):
 		j.MemBudget = max(j.MemBudget/2, 1<<20)
 		s.m.Counter("server.mem_cancels").Inc()
 		s.retryOrFail(j, fmt.Errorf("heap guard canceled attempt %d", j.Attempts))
-	case !j.Salvage && tctx.Err() == nil:
-		// A strict-mode analysis error on an upload that passed admission
-		// validation: the trace is worse than it looked. Degrade to
-		// salvage instead of failing — the graceful-degradation contract.
-		j.Salvage = true
-		s.m.Counter("server.jobs_salvage_fallback").Inc()
-		s.retryOrFail(j, err)
 	default:
 		s.retryOrFail(j, err)
 	}
@@ -225,7 +225,7 @@ func (s *Server) finishJob(j *Job, rep *report.Report, err error) {
 	j.FinishedAt = time.Now()
 	j.RetryAt = time.Time{}
 	switch {
-	case err == nil && rep.Stats.Partial():
+	case err == nil && j.Salvage:
 		j.State = StatePartial
 		j.Error = ""
 		s.m.Counter("server.jobs_salvaged").Inc()
@@ -261,27 +261,21 @@ func (s *Server) releaseLocked(j *Job) {
 	s.m.Counter("server.bytes_released").Add(uint64(j.Bytes))
 }
 
-// analyze runs one attempt's actual analysis. Clean uploads fan out to
-// the dist worker pool (adaptive: small traces analyze inline); damaged
-// uploads run single-process salvage analysis, which needs the full
-// stream over every log that distribution avoids. salvage and memBudget
-// are snapshots taken under s.mu — the job itself is not touched here.
-func (s *Server) analyze(ctx context.Context, j *Job, salvage bool, memBudget int64) (*report.Report, error) {
+// analyze runs one attempt's actual analysis, in process and bounded by
+// memBudget, a snapshot taken under s.mu — the job itself is not touched
+// here. A damaged upload returns the report of what survived together
+// with an error matching trace.ErrTraceDamaged.
+func (s *Server) analyze(ctx context.Context, j *Job, memBudget int64) (*report.Report, error) {
 	store, err := trace.NewDirStore(j.traceDir())
 	if err != nil {
 		return nil, err
 	}
 	defer store.Close()
-	ccfg := core.Config{
+	return core.New(store, core.Config{
 		Workers:      s.cfg.Workers,
 		MemoryBudget: memBudget,
-		Salvage:      salvage,
 		Obs:          s.m,
-	}
-	if salvage {
-		return core.New(store, ccfg).AnalyzeContext(ctx)
-	}
-	return dist.Local(ctx, store, 0, dist.WithCore(ccfg), dist.WithObs(s.m))
+	}).AnalyzeContext(ctx)
 }
 
 // cancelJob cancels a job by id on behalf of a client: queued jobs leave

@@ -10,8 +10,8 @@
 // queues drain under deficit-round-robin fairness so a tenant with one
 // giant job cannot starve hundreds of small ones; jobs run under
 // per-attempt timeouts with bounded exponential-backoff retries (the
-// dist requeue discipline); damaged uploads degrade to salvage-mode
-// analysis and partial reports; jobs that trip the heap guard retry
+// dist requeue discipline); damaged uploads finish as partial reports of
+// what survived; jobs that trip the heap guard retry
 // under a reduced memory budget before failing loud; and SIGTERM drains
 // cleanly — admission stops, in-flight jobs finish or requeue, and the
 // queue survives restart through per-job persistence.

@@ -25,8 +25,8 @@
 // file, which the collector writes last; a crashed run never produces it,
 // and cancelling the context then returns the partial live report. Real
 // corruption (checksum or framing damage over fully present bytes)
-// abandons the live state and falls back to a post-mortem salvage
-// analysis over whatever the store holds.
+// abandons the live state and falls back to a post-mortem analysis, which
+// salvages whatever the store holds.
 package stream
 
 import (
@@ -47,8 +47,6 @@ import (
 // Config parameterizes a streaming Analyzer.
 type Config struct {
 	// Core carries the analyzer knobs (workers, prefilter, probe engine).
-	// Salvage is ignored: live rounds are strict, and the corruption
-	// fallback sets it itself.
 	Core core.Config
 	// PollInterval is how long the tailer sleeps when a round made no
 	// progress. 0 means 2ms — tight enough that detection latency is
@@ -198,7 +196,6 @@ func New(store trace.Store, cfg Config) *Analyzer {
 	if cfg.StepBytes <= 0 {
 		cfg.StepBytes = 64 << 20
 	}
-	cfg.Core.Salvage = false
 	a := &Analyzer{
 		store:     store,
 		cfg:       cfg,
@@ -255,7 +252,8 @@ func cloneReport(src *report.Report) *report.Report {
 // what a post-mortem analysis of the finished trace would produce. A
 // cancelled ctx returns the partial live report together with ctx.Err()
 // (the crashed-run path: no end-of-run marker will ever appear). Real
-// trace corruption falls back to a post-mortem salvage analysis.
+// trace corruption falls back to a post-mortem analysis, which returns
+// its partial report beside the damage error.
 func (a *Analyzer) Run(ctx context.Context) (*report.Report, error) {
 	defer a.closeTails()
 	for {
@@ -273,7 +271,7 @@ func (a *Analyzer) Run(ctx context.Context) (*report.Report, error) {
 			}
 			// Real damage: the live structure can no longer be trusted.
 			// Wait for the run to end (or the caller to give up), then
-			// analyze whatever survives in one salvage pass.
+			// analyze whatever survives in one post-mortem pass.
 			return a.salvageFallback(ctx, err)
 		}
 		if done && !progress {
@@ -517,7 +515,7 @@ func (a *Analyzer) joinedChain(pid uint64) bool {
 }
 
 // chainPresent reports whether the region's full ancestor chain has
-// records — the condition for the region to survive a strict assemble.
+// records — else assemble would quarantine the region as an orphan.
 func (a *Analyzer) chainPresent(pid uint64) bool {
 	for steps := 0; steps <= len(a.parentOf); steps++ {
 		if !a.hasRecord[pid] {
@@ -612,8 +610,8 @@ func (a *Analyzer) stepChunk(ctx context.Context, chunk []core.IntervalGroup) er
 }
 
 // assembleInputs builds the SlotRecords a live step consumes: every
-// accumulated record whose region's ancestor chain is present (a strict
-// assemble would reject orphans), plus the certificates of groups that are
+// accumulated record whose region's ancestor chain is present (assemble
+// would quarantine orphans as damage), plus the certificates of groups that are
 // sealed — earlier certificates would reference intervals that have not
 // arrived yet.
 func (a *Analyzer) assembleInputs(target map[core.IntervalGroup]bool) []core.SlotRecords {
@@ -695,18 +693,19 @@ func (a *Analyzer) finalize(ctx context.Context) (*report.Report, error) {
 	a.mu.Lock()
 	rep, err := a.live.Finalize(ctx, a.store)
 	a.mu.Unlock()
-	if err != nil {
-		return nil, err
+	if rep == nil {
+		return nil, err // a damaged trace still has its partial report
 	}
 	a.reportNewRaces()
-	return rep, nil
+	return rep, err
 }
 
 // salvageFallback is the corruption path: the live structure is abandoned
-// and the store is analyzed post-mortem in salvage mode once the run ends
-// (or immediately if it already has). Torn tails of a still-running
+// and the store is analyzed post-mortem once the run ends (or immediately
+// if it already has); that analysis salvages, and returns its partial
+// report together with the damage it found. Torn tails of a still-running
 // collector would be misread as truncation, so the fallback waits for the
-// end marker first; a cancelled ctx aborts the wait.
+// end marker first; a cancelled ctx aborts the wait, with no report.
 func (a *Analyzer) salvageFallback(ctx context.Context, cause error) (*report.Report, error) {
 	for {
 		if a.endMarker() {
@@ -714,26 +713,25 @@ func (a *Analyzer) salvageFallback(ctx context.Context, cause error) (*report.Re
 		}
 		select {
 		case <-ctx.Done():
-			return nil, fmt.Errorf("stream: trace damaged while the run was still in progress: %w", cause)
+			return nil, fmt.Errorf("stream: trace damaged while the run was still in progress: %w (%w)", cause, ctx.Err())
 		case <-time.After(a.cfg.PollInterval):
 		}
 	}
 	a.closeTails()
 	cfg := a.cfg.Core
-	cfg.Salvage = true
 	cfg.Obs = a.cfg.Obs
 	rep, err := core.New(a.store, cfg).AnalyzeContext(ctx)
-	if err != nil {
+	if rep == nil {
 		return nil, errors.Join(cause, err)
 	}
-	rep.Note("online analysis aborted (%v); results are from a post-mortem salvage pass", cause)
-	return rep, nil
+	rep.Note("online analysis aborted (%v); results are from a post-mortem pass", cause)
+	return rep, err
 }
 
 // prefixStore is the durable-prefix view of a growing store: log readers
 // are truncated at the committed-frame frontier the log tail measured, so
-// a strict reader sees a clean end of file instead of a torn append.
-// Everything else passes through.
+// the reader sees a clean end of file, not a torn append it would report
+// as damage. Everything else passes through.
 type prefixStore struct {
 	trace.Store
 	limits map[int]uint64

@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -276,5 +277,55 @@ func TestCancelledRun(t *testing.T) {
 	}
 	if rep == nil {
 		t.Fatal("expected a partial report")
+	}
+}
+
+// TestFinishedStoreDamaged: damage in a finished trace, whether a live
+// round decodes it (a corrupt log block) or only the post-mortem pass
+// reads it (the pc table), comes back as the partial report beside an
+// error matching trace.ErrTraceDamaged.
+func TestFinishedStoreDamaged(t *testing.T) {
+	store := trace.NewMemStore()
+	col := rt.New(store, rt.Config{Synchronous: true, MaxEvents: 64})
+	rtm := omp.New(omp.WithTool(col))
+	space := memsim.NewSpace(nil)
+	pc := pcreg.Site("stream-test:damaged")
+	x, _ := space.AllocF64(64)
+	rtm.Parallel(2, func(th *omp.Thread) {
+		for phase := 0; phase < 8; phase++ {
+			for i := 0; i < 64; i++ {
+				th.StoreF64(x, i, 1, pc)
+			}
+			th.Barrier()
+		}
+	})
+	if err := col.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []string{"aux:pctable", "log:0"} {
+		fs := trace.NewFaultStore(store)
+		fs.SetMutateRead(func(name string, data []byte) []byte {
+			if name != target {
+				return data
+			}
+			if target == "aux:pctable" {
+				return []byte("not a pc table\n")
+			}
+			hit := append([]byte(nil), data...)
+			hit[len(hit)/2] ^= 0xFF
+			return hit
+		})
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		rep, err := stream.New(fs, stream.Config{}).Run(ctx)
+		cancel()
+		if !errors.Is(err, trace.ErrTraceDamaged) {
+			t.Fatalf("%s: want the damage error, got %v", target, err)
+		}
+		if rep == nil || rep.Len() == 0 {
+			t.Fatalf("%s: want the partial report beside the damage, got %v", target, rep)
+		}
+		if target == "log:0" && !rep.Stats.Partial() {
+			t.Fatalf("corrupt log block not reported partial: %+v", rep.Stats)
+		}
 	}
 }

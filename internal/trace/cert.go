@@ -354,21 +354,6 @@ func ReadAllMetaCerts(r io.ReadCloser) ([]Meta, []LoopCert, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("trace: read meta file: %w", err)
 	}
-	metas, certs, _, err := decodeAllMetaCerts(data, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	return metas, certs, nil
-}
-
-// ReadAllMetaCertsTolerant is ReadAllMetaTolerant plus the
-// loop-certificate extension records.
-func ReadAllMetaCertsTolerant(r io.ReadCloser) ([]Meta, []LoopCert, *SalvageReport, error) {
-	defer r.Close()
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("trace: read meta file: %w", err)
-	}
-	metas, certs, rep, _ := decodeAllMetaCerts(data, true)
-	return metas, certs, rep, nil
+	metas, certs, rep := decodeAllMetaCerts(data)
+	return metas, certs, rep.Err()
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"io"
 	"reflect"
@@ -67,13 +68,6 @@ func TestCertRoundTrip(t *testing.T) {
 	if len(legacy) != 2 {
 		t.Fatalf("legacy reader saw %d metas, want 2", len(legacy))
 	}
-	tol, _, rep, err := ReadAllMetaCertsTolerant(io.NopCloser(bytes.NewReader(data)))
-	if err != nil || rep.Truncated {
-		t.Fatalf("tolerant read: %v truncated=%v", err, rep.Truncated)
-	}
-	if len(tol) != 2 {
-		t.Fatalf("tolerant reader saw %d metas, want 2", len(tol))
-	}
 }
 
 // TestCertUnknownRecTypeSkipped: a future extension record type must be
@@ -134,8 +128,8 @@ func TestCertOversizedRefused(t *testing.T) {
 	}
 }
 
-// TestCertTornTail: a cert record cut mid-frame is reported as
-// truncation by the tolerant reader and as an error by the strict one.
+// TestCertTornTail: a cert record cut mid-frame is an error, and the
+// error is a truncation report beside the records before the cut.
 func TestCertTornTail(t *testing.T) {
 	var sink byteSink
 	w := NewMetaWriter(&sink)
@@ -153,8 +147,9 @@ func TestCertTornTail(t *testing.T) {
 	if _, _, err := ReadAllMetaCerts(io.NopCloser(bytes.NewReader(torn))); err == nil {
 		t.Fatal("strict reader accepted a torn cert record")
 	}
-	ms, certs, rep, err := ReadAllMetaCertsTolerant(io.NopCloser(bytes.NewReader(torn)))
-	if err != nil {
+	ms, certs, err := ReadAllMetaCerts(io.NopCloser(bytes.NewReader(torn)))
+	var rep *SalvageReport
+	if !errors.As(err, &rep) {
 		t.Fatal(err)
 	}
 	if !rep.Truncated || len(ms) != 1 || len(certs) != 0 {

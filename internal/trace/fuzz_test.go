@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
@@ -41,27 +42,31 @@ func fuzzSeedLogs() [][]byte {
 	return seeds
 }
 
-// FuzzLogReader feeds arbitrary bytes to both strict and tolerant readers.
-// The contract under fuzzing: no panic, no unbounded allocation (the
-// MaxBlockBytes cap), and tolerant mode never surfaces an error — damage
-// becomes SalvageReport entries, not failures.
+// FuzzLogReader feeds arbitrary bytes to the log reader, once stopping at
+// the first error and once reading on past damage. The contract under
+// fuzzing: no panic, no unbounded allocation (the MaxBlockBytes cap), and
+// the only error is damage — a SalvageReport the reader also keeps.
 func FuzzLogReader(f *testing.F) {
 	for _, seed := range fuzzSeedLogs() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, tolerant := range []bool{false, true} {
+		for _, readOn := range []bool{false, true} {
 			r := NewLogReader(io.NopCloser(bytes.NewReader(data)))
-			r.SetTolerant(tolerant)
 			var logical uint64
+			damage := 0
 			for {
 				start, raw, err := r.Next()
 				if err == io.EOF {
 					break
 				}
 				if err != nil {
-					if tolerant {
-						t.Fatalf("tolerant reader returned error: %v", err)
+					if !errors.Is(err, ErrTraceDamaged) {
+						t.Fatalf("reader returned a non-damage error: %v", err)
+					}
+					damage++
+					if readOn {
+						continue
 					}
 					break
 				}
@@ -76,13 +81,16 @@ func FuzzLogReader(f *testing.F) {
 			if r.RawBytes() < logical {
 				t.Fatalf("RawBytes %d below delivered %d", r.RawBytes(), logical)
 			}
+			if readOn && (damage == 0) != r.Salvage().Clean() {
+				t.Fatalf("%d damage errors but report clean=%v", damage, r.Salvage().Clean())
+			}
 		}
 	})
 }
 
-// FuzzDecodeMeta feeds arbitrary bytes to the strict and tolerant meta
-// readers: no panic, and the tolerant intact prefix must re-encode to
-// valid records.
+// FuzzDecodeMeta feeds arbitrary bytes to the meta reader: no panic, the
+// only error is damage, and the intact prefix it returns beside the damage
+// must hold valid records.
 func FuzzDecodeMeta(f *testing.F) {
 	metas := []Meta{
 		{PID: 0, PPID: NoParent, BID: 0, Span: 4, Level: 1, DataSize: 100},
@@ -100,18 +108,14 @@ func FuzzDecodeMeta(f *testing.F) {
 	}
 	f.Add([]byte(metaMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		strict, serr := ReadAllMeta(io.NopCloser(bytes.NewReader(data)))
-		got, rep, err := ReadAllMetaTolerant(io.NopCloser(bytes.NewReader(data)))
+		got, err := ReadAllMeta(io.NopCloser(bytes.NewReader(data)))
 		if err != nil {
-			t.Fatalf("tolerant meta read errored: %v", err)
-		}
-		if rep.IntactRecords != len(got) {
-			t.Fatalf("IntactRecords %d != %d records", rep.IntactRecords, len(got))
-		}
-		// Strict success implies tolerant agreement, record for record.
-		if serr == nil {
-			if len(strict) != len(got) || !rep.Clean() {
-				t.Fatalf("strict read %d records but tolerant %d (report %+v)", len(strict), len(got), rep)
+			var rep *SalvageReport
+			if !errors.As(err, &rep) || rep.Clean() {
+				t.Fatalf("meta read errored without a damage report: %v", err)
+			}
+			if rep.IntactRecords != len(got) {
+				t.Fatalf("IntactRecords %d != %d records", rep.IntactRecords, len(got))
 			}
 		}
 		for i := range got {

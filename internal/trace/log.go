@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -36,7 +35,7 @@ import (
 // The CRC is computed over the compressed payload. Torn or bit-flipped
 // payloads therefore lose exactly one block: its framing still tells the
 // reader how many bytes to skip and which logical span was lost, which is
-// what the tolerant (salvage) mode reports instead of aborting.
+// what the reader reports before it reads on.
 
 // Format versions of the log and meta streams.
 const (
@@ -193,10 +192,14 @@ func (w *LogWriter) Close() error {
 // bytes, so the offline phase can report the trace volume it consumed
 // without a second pass over the store.
 //
-// By default the reader is strict: any framing or integrity damage is an
-// error. SetTolerant switches it to salvage mode, where a payload-damaged
-// block is skipped (its declared logical span recorded as lost) and a torn
-// tail ends the stream early; Salvage reports what was recovered and lost.
+// Damage is an error value, not a mode. A block whose payload fails its
+// integrity check comes back as a *SalvageReport error naming the lost
+// logical span; the framing was consumed, so the next call reads on at the
+// following block. Framing damage the reader cannot resynchronize past (a
+// torn tail, implausible sizes) comes back as a truncation report and then
+// io.EOF. A caller that stops at its first error reads strictly; one that
+// reads on past ErrTraceDamaged salvages, and Salvage accumulates every
+// piece of damage either way.
 type LogReader struct {
 	r        *bufio.Reader
 	c        io.ReadCloser
@@ -210,7 +213,6 @@ type LogReader struct {
 	compIn   uint64
 	skipped  uint64
 	skippedB uint64
-	tolerant bool
 	tail     bool
 	torn     bool
 	tornOff  uint64 // file offset of the frame the torn tail cut
@@ -239,7 +241,7 @@ var logReaderPool = sync.Pool{
 	New: func() any { return &logReaderBufs{br: bufio.NewReaderSize(nil, 64<<10)} },
 }
 
-// NewLogReader returns a strict reader over r. The format version and the
+// NewLogReader returns a reader over r. The format version and the
 // codec of each block are identified from the stream, so v1 logs and
 // mixed-codec logs decode correctly.
 func NewLogReader(r io.ReadCloser) *LogReader {
@@ -248,17 +250,11 @@ func NewLogReader(r io.ReadCloser) *LogReader {
 	return &LogReader{r: bufs.br, c: r, bufs: bufs, comp: bufs.comp, raw: bufs.raw}
 }
 
-// SetTolerant switches the reader into (or out of) salvage mode. In
-// salvage mode Next never returns a corruption error: payload-damaged
-// blocks are skipped, unrecoverable framing damage terminates the stream
-// as io.EOF, and the damage is recorded in Salvage.
-func (r *LogReader) SetTolerant(on bool) { r.tolerant = on }
-
 // SetTail switches the reader into (or out of) tail mode, for following a
 // log that is still being written. In tail mode an end-of-data condition
 // inside a frame — header bytes committed, payload still on its way — is
-// reported as the retriable ErrTornTail instead of a corruption error (or,
-// in tolerant mode, a salvage truncation); a clean end at a frame boundary
+// reported as the retriable ErrTornTail instead of a truncation; a clean
+// end at a frame boundary
 // is still io.EOF, and calling Next again after the file grew continues
 // reading. After ErrTornTail, call Resume once more bytes are durable.
 func (r *LogReader) SetTail(on bool) { r.tail = on }
@@ -314,8 +310,9 @@ func (r *LogReader) Resume(src io.ReadCloser) error {
 	return nil
 }
 
-// Salvage returns the damage report accumulated so far. Call after the
-// stream returned io.EOF; Clean reports whether the log decoded fully.
+// Salvage returns the damage report accumulated so far — every error
+// matching ErrTraceDamaged the reader returned. Call after the stream
+// returned io.EOF; Clean reports whether the log decoded fully.
 func (r *LogReader) Salvage() *SalvageReport { return &r.salvage }
 
 // Version returns the detected format version, 0 before the first read.
@@ -352,31 +349,56 @@ func (r *LogReader) discard(n int) error {
 
 // detect identifies the stream's format version from the file magic. No
 // valid v1 log starts with the magic bytes (they would declare codec id
-// 'L', which does not exist), so absence of the magic means v1.
-func (r *LogReader) detect() {
+// 'L', which does not exist), so absence of the magic means v1 — unless
+// the magic is there with one byte hit (see magicDiff): then the stream
+// is v2, and detect returns that damage once.
+func (r *LogReader) detect() error {
 	if r.version != 0 {
-		return
+		return nil
 	}
 	b, err := r.r.Peek(len(logMagic))
-	if err == nil && string(b) == logMagic {
+	if diff := magicDiff(b, logMagic); err == nil && diff <= 1 {
 		r.discard(len(logMagic))
 		r.version = FormatV2
-		return
+		if diff == 1 {
+			e := SalvageEntry{Cause: "damaged file magic"}
+			r.salvage.add(e)
+			return &SalvageReport{Entries: []SalvageEntry{e}}
+		}
+		return nil
 	}
 	if r.tail && err != nil {
 		// Fewer bytes than the magic are durable yet: with a live writer
 		// the version cannot be decided, so stay undetected — the next
 		// read attempt re-peeks after the file grew. Latching v1 here
 		// would misparse the rest of the magic as a block header.
-		return
+		return nil
 	}
 	r.version = FormatV1
+	return nil
+}
+
+// magicDiff counts the bytes in which b's prefix differs from magic (all
+// of them when b is shorter). A stream one byte off is read as v2 with a
+// damaged magic, not as v1: reading it as v1 would decode its checksummed
+// frames as unchecked garbage, and a v1 stream starting that way would
+// need a first record or block header made of nearly the magic's bytes.
+func magicDiff(b []byte, magic string) int {
+	diff := max(len(magic)-len(b), 0)
+	for i := range min(len(b), len(magic)) {
+		if b[i] != magic[i] {
+			diff++
+		}
+	}
+	return diff
 }
 
 // Next returns the logical start offset and decompressed contents of the
 // next block. The returned slice is reused by subsequent calls and
 // recycled by Close — callers must finish with it before either. It
-// returns io.EOF after the last block.
+// returns io.EOF after the last block. A damaged block or frame returns a
+// *SalvageReport error (ErrTraceDamaged) instead of a block; the caller
+// may call Next again to read on past it.
 func (r *LogReader) Next() (uint64, []byte, error) { return r.NextFrom(nil) }
 
 // NextFrom is Next with a block-skipping fast path: for every block it
@@ -390,9 +412,11 @@ func (r *LogReader) Next() (uint64, []byte, error) { return r.NextFrom(nil) }
 // their framing was consumed, and the write-side totals must keep agreeing
 // with the read-side ones — and additionally into BlocksSkipped and
 // SkippedBytes, the work the fast path avoided. The offline analyzer uses
-// this under SubtreeBatch to fly over blocks whose span intersects no
-// interval fragment of the current batch; salvage-mode analysis passes a
-// nil skip so every payload is integrity-checked.
+// this under SubtreeBatch and for the live analyzer's sealed intervals to
+// fly over blocks whose span intersects no interval fragment of the pass.
+// A skipped payload is not integrity-checked and its raw length is taken
+// on trust: a lying one shifts every later offset, found only by a reader
+// that decodes the block, whose stream then ends there.
 func (r *LogReader) NextFrom(skip func(start, rawLen uint64) bool) (uint64, []byte, error) {
 	start, raw, err := r.NextInto(r.raw, skip)
 	if raw != nil {
@@ -411,7 +435,9 @@ func (r *LogReader) NextInto(dst []byte, skip func(start, rawLen uint64) bool) (
 	if r.dead {
 		return 0, nil, io.EOF
 	}
-	r.detect()
+	if err := r.detect(); err != nil {
+		return 0, nil, err
+	}
 	if r.version == 0 {
 		return 0, nil, io.EOF // tail mode: not enough bytes to even detect
 	}
@@ -465,27 +491,23 @@ func (r *LogReader) NextInto(dst []byte, skip func(start, rawLen uint64) bool) (
 			return 0, nil, r.fail(blockOff, "truncated block payload", err)
 		}
 		// Payload-level damage loses exactly this block: the framing was
-		// fully consumed, so the stream stays in sync and, in tolerant
-		// mode, reading continues at the next block.
+		// fully consumed, so the stream stays in sync and the next call
+		// reads on at the next block.
 		if r.version == FormatV2 && crc32.Checksum(r.comp, castagnoli) != wantCRC {
-			if r.corrupt(blockOff, start, rawLen, compLen, "payload crc mismatch") {
-				continue
-			}
-			return 0, nil, fmt.Errorf("trace: block %d at offset %d: payload crc mismatch", r.blocks, blockOff)
+			return 0, nil, r.corrupt(blockOff, start, rawLen, compLen, "payload crc mismatch")
 		}
+		// A payload that passed its checksum (or has none, in v1) but does
+		// not decode means the header lied — a hit codec id or raw length.
+		// The declared span is then no measure of the logical offsets that
+		// follow, and stepping over it would shift every later event into
+		// the wrong interval: framing damage, the stream ends here.
 		codec, err := compress.ByID(id)
 		if err != nil {
-			if r.corrupt(blockOff, start, rawLen, compLen, err.Error()) {
-				continue
-			}
-			return 0, nil, err
+			return 0, nil, r.fail(blockOff, err.Error(), nil)
 		}
 		raw, err := codec.Decompress(dst[:0], r.comp, int(rawLen))
 		if err != nil {
-			if r.corrupt(blockOff, start, rawLen, compLen, err.Error()) {
-				continue
-			}
-			return 0, nil, err
+			return 0, nil, r.fail(blockOff, err.Error(), nil)
 		}
 		r.logical += rawLen
 		r.blocks++
@@ -495,30 +517,28 @@ func (r *LogReader) NextInto(dst []byte, skip func(start, rawLen uint64) bool) (
 	}
 }
 
-// corrupt records a payload-damaged block. In tolerant mode the block's
-// declared logical span is recorded as lost and the scan continues; the
-// return reports whether to do so.
-func (r *LogReader) corrupt(blockOff, start, rawLen, compLen uint64, cause string) bool {
-	if !r.tolerant {
-		return false
-	}
-	r.salvage.add(SalvageEntry{
+// corrupt records a block whose payload failed its checksum — its
+// declared logical span is lost — steps over it, and returns the damage
+// as an error.
+func (r *LogReader) corrupt(blockOff, start, rawLen, compLen uint64, cause string) error {
+	e := SalvageEntry{
 		Block: int(r.blocks), Offset: blockOff,
 		LogicalStart: start, LogicalEnd: start + rawLen,
 		Cause: cause,
-	})
+	}
+	r.salvage.add(e)
 	r.salvage.CorruptBlocks++
 	r.salvage.LostBytes += rawLen
 	r.logical += rawLen
 	r.blocks++
 	r.compIn += compLen
-	return true
+	return &SalvageReport{Entries: []SalvageEntry{e}, CorruptBlocks: 1, LostBytes: rawLen}
 }
 
 // fail ends the stream at unrecoverable framing damage — a torn tail or
-// framing bytes the reader cannot resynchronize past. Strict mode returns
-// an error; tolerant mode records a truncation and reports io.EOF, so the
-// caller keeps everything read before the damage.
+// framing bytes the reader cannot resynchronize past: it records a
+// truncation and returns it as an error, and every later call returns
+// io.EOF, so the caller keeps everything read before the damage.
 func (r *LogReader) fail(off uint64, cause string, err error) error {
 	if r.tail && err != nil && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
 		// The frame stops where the durable bytes do: the writer is (or
@@ -529,16 +549,14 @@ func (r *LogReader) fail(off uint64, cause string, err error) error {
 		r.tornOff = off
 		return fmt.Errorf("trace: block %d at offset %d: %s: %w", r.blocks, off, cause, ErrTornTail)
 	}
-	if r.tolerant {
-		r.dead = true
-		r.salvage.Truncated = true
-		r.salvage.add(SalvageEntry{Block: int(r.blocks), Offset: off, Cause: cause})
-		return io.EOF
+	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		cause += ": " + err.Error() // a read failure, not the end of the bytes
 	}
-	if err != nil && !errors.Is(err, io.EOF) {
-		return fmt.Errorf("trace: block %d at offset %d: %s: %w", r.blocks, off, cause, err)
-	}
-	return fmt.Errorf("trace: block %d at offset %d: %s", r.blocks, off, cause)
+	e := SalvageEntry{Block: int(r.blocks), Offset: off, Cause: cause}
+	r.dead = true
+	r.salvage.Truncated = true
+	r.salvage.add(e)
+	return &SalvageReport{Entries: []SalvageEntry{e}, Truncated: true}
 }
 
 // Blocks returns the number of blocks read so far — one per collector
@@ -590,7 +608,7 @@ func (r *LogReader) Close() error {
 //
 // The writer flushes after every record, so the commit marker doubles as a
 // durability boundary: a crash mid-append leaves a torn tail that the
-// tolerant reader detects and cuts off, keeping every committed record.
+// reader detects and cuts off, keeping every committed record.
 // Format v1 is bare concatenated records; the reader auto-detects the
 // version (no valid v1 stream starts with the magic — it would declare a
 // zero span in its fifth field, which DecodeMeta rejects).
@@ -666,46 +684,26 @@ func (w *MetaWriter) Close() error {
 	return w.c.Close()
 }
 
-// ReadAllMeta decodes every meta record from r and closes it. It is
-// strict: any damage is an error, with the count of intact records before
-// the damage included in the message.
+// ReadAllMeta decodes every meta record from r and closes it. On a torn
+// or damaged record it returns the intact records before the damage
+// together with a *SalvageReport error (ErrTraceDamaged) whose message
+// counts them; any other error is an I/O failure reading r itself.
 func ReadAllMeta(r io.ReadCloser) ([]Meta, error) {
-	defer r.Close()
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("trace: read meta file: %w", err)
-	}
-	metas, _, err := decodeAllMeta(data, false)
-	if err != nil {
-		return nil, err
-	}
-	return metas, nil
+	metas, _, err := ReadAllMetaCerts(r)
+	return metas, err
 }
 
-// ReadAllMetaTolerant decodes meta records from r in salvage mode: on a
-// torn or damaged record it returns the intact prefix plus a report
-// describing the damage, instead of an error. The error return is non-nil
-// only for I/O failures reading r itself.
-func ReadAllMetaTolerant(r io.ReadCloser) ([]Meta, *SalvageReport, error) {
-	defer r.Close()
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("trace: read meta file: %w", err)
-	}
-	metas, rep, _ := decodeAllMeta(data, true)
-	return metas, rep, nil
-}
-
-func decodeAllMeta(data []byte, tolerant bool) ([]Meta, *SalvageReport, error) {
-	metas, _, rep, err := decodeAllMetaCerts(data, tolerant)
-	return metas, rep, err
-}
-
-func decodeAllMetaCerts(data []byte, tolerant bool) ([]Meta, []LoopCert, *SalvageReport, error) {
+// decodeAllMetaCerts decodes a whole meta stream, stopping at the first
+// damaged record: meta records are not independently framed like log
+// blocks, so there is no resynchronizing past damage.
+func decodeAllMetaCerts(data []byte) ([]Meta, []LoopCert, *SalvageReport) {
 	rep := &SalvageReport{}
 	version := FormatV1
 	pos := 0
-	if bytes.HasPrefix(data, []byte(metaMagic)) {
+	if diff := magicDiff(data, metaMagic); diff <= 1 && len(data) >= len(metaMagic) {
+		if diff == 1 {
+			rep.add(SalvageEntry{Cause: "damaged file magic"})
+		}
 		version = FormatV2
 		pos = len(metaMagic)
 	}
@@ -749,13 +747,10 @@ func decodeAllMetaCerts(data []byte, tolerant bool) ([]Meta, []LoopCert, *Salvag
 			n, err = DecodeMeta(data[pos:], &m)
 		}
 		if err != nil {
-			if tolerant {
-				rep.Truncated = true
-				rep.add(SalvageEntry{Block: len(out), Offset: uint64(pos), Cause: err.Error()})
-				break
-			}
-			return nil, nil, nil, fmt.Errorf("trace: meta record %d at offset %d (%d intact record(s) before it): %w",
-				len(out), pos, len(out), err)
+			rep.Truncated = true
+			rep.add(SalvageEntry{Block: len(out), Offset: uint64(pos),
+				Cause: fmt.Sprintf("%v (%d intact record(s) before it)", err, len(out))})
+			break
 		}
 		pos += n
 		rep.SalvagedBytes += uint64(n)
@@ -764,7 +759,7 @@ func decodeAllMetaCerts(data []byte, tolerant bool) ([]Meta, []LoopCert, *Salvag
 		}
 	}
 	rep.IntactRecords = len(out)
-	return out, certs, rep, nil
+	return out, certs, rep
 }
 
 // decodeV2Frame parses one committed v2 record frame from src — length,

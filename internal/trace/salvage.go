@@ -1,22 +1,31 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
 
-// SalvageReport is the structured damage record a tolerant reader produces
+// ErrTraceDamaged is what every report of trace damage matches under
+// errors.Is. The damage itself travels as a *SalvageReport, which is the
+// error value: readers return it beside the data they recovered, and
+// errors.As recovers the report from any error that wraps it.
+var ErrTraceDamaged = errors.New("trace damaged")
+
+// SalvageReport is the structured damage record a reader produces
 // alongside the data it recovered. Production runs crash, fill disks and
 // get OOM-killed mid-flush; post-mortem analysis only works if the reader
 // can hand back the intact prefix of a damaged file and say exactly what
 // was lost instead of aborting on the first bad byte. A nil report, or one
-// for which Clean reports true, means the file decoded fully.
+// for which Clean reports true, means the file decoded fully; a damaged
+// report is also an error (see Err), so one return path carries both the
+// partial data and the loud failure.
 type SalvageReport struct {
 	// Entries describe each piece of damage in file order.
 	Entries []SalvageEntry
-	// CorruptBlocks counts log blocks whose payload failed its integrity
-	// check (CRC mismatch, unknown codec, decompression failure) but whose
-	// framing was intact, so reading continued with the next block.
+	// CorruptBlocks counts log blocks whose payload failed its checksum
+	// but whose framing was intact, so reading continued with the next
+	// block.
 	CorruptBlocks int
 	// Truncated reports that the stream ended before a clean block or
 	// record boundary — a torn tail from a crash mid-append, or framing
@@ -30,15 +39,20 @@ type SalvageReport struct {
 	// included (their extent is unknown to the reader; the analyzer bounds
 	// it against the meta-data instead).
 	LostBytes uint64
-	// IntactRecords counts meta records recovered before the damage.
+	// IntactRecords counts the meta records ReadAllMeta recovered before
+	// the damage.
 	IntactRecords int
 }
 
 // SalvageEntry is one piece of damage: where it sits in the file, which
 // logical span it takes out (logs only), and why the bytes were rejected.
 type SalvageEntry struct {
+	// File names the damaged file ("log 3", "meta 3", "aux pctable") in a
+	// report that merges several; empty from single-file readers.
+	File string
 	// Block is the block (log) or record (meta) index the damage was
-	// detected at.
+	// detected at, or -1 for damage without a frame position (an aux
+	// file, accesses no interval fragment owns).
 	Block int
 	// Offset is the byte offset in the file where the damaged region
 	// starts (the block or record header).
@@ -52,11 +66,19 @@ type SalvageEntry struct {
 }
 
 func (e SalvageEntry) String() string {
-	if e.LogicalEnd > e.LogicalStart {
-		return fmt.Sprintf("block %d at offset %d: %s (logical [%d,%d) lost)",
-			e.Block, e.Offset, e.Cause, e.LogicalStart, e.LogicalEnd)
+	var b strings.Builder
+	if e.File != "" {
+		b.WriteString(e.File)
+		b.WriteString(": ")
 	}
-	return fmt.Sprintf("block %d at offset %d: %s", e.Block, e.Offset, e.Cause)
+	if e.Block >= 0 {
+		fmt.Fprintf(&b, "block %d at offset %d: ", e.Block, e.Offset)
+	}
+	b.WriteString(e.Cause)
+	if e.LogicalEnd > e.LogicalStart {
+		fmt.Fprintf(&b, " (logical [%d,%d) lost)", e.LogicalStart, e.LogicalEnd)
+	}
+	return b.String()
 }
 
 // Clean reports whether the reader found no damage at all.
@@ -64,21 +86,29 @@ func (r *SalvageReport) Clean() bool {
 	return r == nil || (len(r.Entries) == 0 && !r.Truncated)
 }
 
-// LostRanges returns the logical byte spans taken out by corrupt blocks,
-// in ascending order. The analyzer quarantines interval fragments that
-// intersect any of them.
-func (r *SalvageReport) LostRanges() [][2]uint64 {
-	if r == nil {
+// Err returns r as an error, or nil when r is clean. Use it instead of
+// converting r directly: a clean non-nil report is not a failure.
+func (r *SalvageReport) Err() error {
+	if r.Clean() {
 		return nil
 	}
-	var out [][2]uint64
-	for _, e := range r.Entries {
-		if e.LogicalEnd > e.LogicalStart {
-			out = append(out, [2]uint64{e.LogicalStart, e.LogicalEnd})
-		}
-	}
-	return out
+	return r
 }
+
+// Error makes a damage report an error value matching ErrTraceDamaged.
+// It names the first few entries; String lists them all.
+func (r *SalvageReport) Error() string {
+	const shown = 4
+	if len(r.Entries) <= shown {
+		return "trace damaged: " + r.String()
+	}
+	head := &SalvageReport{Entries: r.Entries[:shown]}
+	return fmt.Sprintf("trace damaged: %s; and %d more", head, len(r.Entries)-shown)
+}
+
+// Is reports whether target is ErrTraceDamaged, so errors.Is finds the
+// damage through any wrapping.
+func (r *SalvageReport) Is(target error) bool { return target == ErrTraceDamaged }
 
 // String summarizes the damage on one line, empty when clean.
 func (r *SalvageReport) String() string {

@@ -117,21 +117,29 @@ func TestLogSalvageCorruptMiddleBlock(t *testing.T) {
 		t.Fatalf("strict read of corrupt block: %v", err)
 	}
 
-	// Tolerant mode: blocks 0 and 2 recovered, block 1 reported lost.
+	// Reading on past the damage: blocks 0 and 2 recovered, block 1
+	// reported lost.
 	r = readerFor(data)
-	r.SetTolerant(true)
 	var starts []uint64
 	var sizes []int
+	damaged := 0
 	for {
 		start, raw, err := r.Next()
 		if err == io.EOF {
 			break
+		}
+		if errors.Is(err, ErrTraceDamaged) {
+			damaged++
+			continue
 		}
 		if err != nil {
 			t.Fatalf("tolerant read: %v", err)
 		}
 		starts = append(starts, start)
 		sizes = append(sizes, len(raw))
+	}
+	if damaged != 1 {
+		t.Fatalf("%d damage errors, want 1", damaged)
 	}
 	if len(starts) != 2 || starts[0] != 0 || starts[1] != 300 || sizes[0] != 100 || sizes[1] != 300 {
 		t.Fatalf("salvaged starts %v sizes %v, want [0 300] [100 300]", starts, sizes)
@@ -143,8 +151,8 @@ func TestLogSalvageCorruptMiddleBlock(t *testing.T) {
 	if rep.CorruptBlocks != 1 || rep.LostBytes != 200 || rep.SalvagedBytes != 400 {
 		t.Fatalf("corrupt=%d lost=%d salvaged=%d", rep.CorruptBlocks, rep.LostBytes, rep.SalvagedBytes)
 	}
-	if lr := rep.LostRanges(); len(lr) != 1 || lr[0] != [2]uint64{100, 300} {
-		t.Fatalf("LostRanges = %v", lr)
+	if len(rep.Entries) != 1 || rep.Entries[0].LogicalStart != 100 || rep.Entries[0].LogicalEnd != 300 {
+		t.Fatalf("lost ranges = %v", rep.Entries)
 	}
 	// Logical accounting covers corrupt blocks too, so write- and
 	// read-side byte totals keep agreeing.
@@ -167,12 +175,11 @@ func TestLogSalvageTornTail(t *testing.T) {
 	}
 
 	r = readerFor(data)
-	r.SetTolerant(true)
 	_, raw, err := r.Next()
 	if err != nil || len(raw) != 100 {
 		t.Fatalf("intact prefix: %d bytes, %v", len(raw), err)
 	}
-	if _, _, err := r.Next(); err != io.EOF {
+	if _, _, err := r.Next(); !errors.Is(err, ErrTraceDamaged) {
 		t.Fatalf("tolerant torn tail: %v", err)
 	}
 	if _, _, err := r.Next(); err != io.EOF {
@@ -206,12 +213,74 @@ func TestLogImplausibleFraming(t *testing.T) {
 			t.Fatalf("%s: strict read: %v", tc.name, err)
 		}
 		r = readerFor(data)
-		r.SetTolerant(true)
-		if _, _, err := r.Next(); err != io.EOF {
+		if _, _, err := r.Next(); !errors.Is(err, ErrTraceDamaged) {
 			t.Fatalf("%s: tolerant read: %v", tc.name, err)
+		}
+		if _, _, err := r.Next(); err != io.EOF {
+			t.Fatalf("%s: read after truncation: %v", tc.name, err)
 		}
 		if !r.Salvage().Truncated {
 			t.Fatalf("%s: truncation not reported", tc.name)
+		}
+	}
+}
+
+// TestLyingHeaderEndsStream: a block whose payload passes its checksum but
+// does not decompress to the declared length had its header hit. Stepping
+// over the declared span would shift every later block's logical offsets,
+// so the stream ends there instead, as a truncation.
+func TestLyingHeaderEndsStream(t *testing.T) {
+	blocks := [][]byte{bytes.Repeat([]byte{1}, 100), bytes.Repeat([]byte{2}, 200), bytes.Repeat([]byte{3}, 300)}
+	data := buildLog(t, FormatV2, compress.LZSS{}, blocks)
+	off := len(logMagic)
+	_, n1 := binary.Uvarint(data[off:])
+	c, n2 := binary.Uvarint(data[off+n1:])
+	off += n1 + n2 + 1 + 4 + int(c)
+	data[off] ^= 0x01 // block 1's raw length: 200 becomes 201
+
+	r := readerFor(data)
+	if _, raw, err := r.Next(); err != nil || len(raw) != 100 {
+		t.Fatalf("block 0: %d bytes, %v", len(raw), err)
+	}
+	if _, _, err := r.Next(); !errors.Is(err, ErrTraceDamaged) {
+		t.Fatalf("lying header: %v, want the damage", err)
+	}
+	if _, _, err := r.Next(); err != io.EOF {
+		t.Fatalf("read after a lying header: %v, want io.EOF", err)
+	}
+	if rep := r.Salvage(); !rep.Truncated || rep.CorruptBlocks != 0 {
+		t.Fatalf("report = %+v, want a truncation", rep)
+	}
+}
+
+// TestDamagedMagicReadsAsV2: one byte hit in a v2 file's magic must not
+// turn the reader to v1, which would decode the checksummed frames as
+// unchecked garbage. The stream reads as v2, the magic is reported as
+// damage, and every block and record still comes back.
+func TestDamagedMagicReadsAsV2(t *testing.T) {
+	blocks := [][]byte{bytes.Repeat([]byte{1}, 100), bytes.Repeat([]byte{2}, 200)}
+	metas := testMetas()
+	for i := 0; i < len(logMagic); i++ {
+		data := buildLog(t, FormatV2, compress.LZSS{}, blocks)
+		data[i] ^= 0x10
+		r := readerFor(data)
+		if _, _, err := r.Next(); !errors.Is(err, ErrTraceDamaged) {
+			t.Fatalf("log magic byte %d: first read %v, want the damage", i, err)
+		}
+		for j, want := range blocks {
+			if _, raw, err := r.Next(); err != nil || !bytes.Equal(raw, want) {
+				t.Fatalf("log magic byte %d: block %d: %v", i, j, err)
+			}
+		}
+		if _, _, err := r.Next(); err != io.EOF || r.Version() != FormatV2 {
+			t.Fatalf("log magic byte %d: end %v, version %d", i, err, r.Version())
+		}
+
+		mdata := buildMeta(t, FormatV2, metas)
+		mdata[i] ^= 0x10
+		got, err := ReadAllMeta(io.NopCloser(bytes.NewReader(mdata)))
+		if !errors.Is(err, ErrTraceDamaged) || len(got) != len(metas) {
+			t.Fatalf("meta magic byte %d: %d records, %v", i, len(got), err)
 		}
 	}
 }
@@ -280,8 +349,9 @@ func TestMetaSalvageTornTail(t *testing.T) {
 			t.Fatalf("v%d: error does not count intact records: %v", version, err)
 		}
 
-		got, rep, err := ReadAllMetaTolerant(io.NopCloser(bytes.NewReader(data)))
-		if err != nil {
+		got, err := ReadAllMeta(io.NopCloser(bytes.NewReader(data)))
+		var rep *SalvageReport
+		if !errors.As(err, &rep) {
 			t.Fatalf("v%d: tolerant read: %v", version, err)
 		}
 		if len(got) != 2 || rep.IntactRecords != 2 || !rep.Truncated {
@@ -308,8 +378,9 @@ func TestMetaCorruptRecordCRC(t *testing.T) {
 	if _, err := ReadAllMeta(io.NopCloser(bytes.NewReader(data))); err == nil {
 		t.Fatal("strict read of corrupt meta succeeded")
 	}
-	got, rep, err := ReadAllMetaTolerant(io.NopCloser(bytes.NewReader(data)))
-	if err != nil {
+	got, err := ReadAllMeta(io.NopCloser(bytes.NewReader(data)))
+	var rep *SalvageReport
+	if !errors.As(err, &rep) {
 		t.Fatal(err)
 	}
 	// The intact prefix stops at the damage: meta records are not

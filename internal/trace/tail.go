@@ -147,7 +147,7 @@ func skipConsumed(src io.Reader, n int64) error {
 // frontier without decompressing payloads. Each Poll scans the frames that
 // became durable since the last one and reports the file offset and
 // logical (uncompressed) size covered by whole committed frames — the
-// prefix a strict reader can consume without ever hitting a torn tail.
+// prefix a reader can consume without ever hitting a torn tail.
 type LogTail struct {
 	store   Store
 	slot    int

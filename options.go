@@ -74,15 +74,6 @@ type Config struct {
 	// into already exists). AllRaces spends those extra solves so each
 	// race's Count reflects every detected instance.
 	AllRaces bool
-	// Salvage switches the offline analysis into graceful-degradation mode
-	// for damaged traces (a crashed run, a filled disk, bit rot): tolerant
-	// readers recover the intact prefix of every log and meta stream,
-	// intervals whose data was lost are quarantined, and every concurrent
-	// pair whose data survived is still analyzed. The report's stats carry
-	// the coverage (Partial reports whether anything was lost) and its
-	// notes say what was lost and why. Off by default: an undamaged trace
-	// should fail loudly when it doesn't parse.
-	Salvage bool
 	// LiveFlush makes the collector commit every closed fragment's log
 	// data before publishing its meta record, so a concurrently tailing
 	// analyzer (AnalyzeLive, cmd/swordwatch) can trust that a committed
@@ -198,13 +189,6 @@ func WithNoPrefilter(on bool) Option {
 // only trades instance counts for solver work.
 func WithAllRaces(on bool) Option {
 	return func(c *Config) { c.AllRaces = on }
-}
-
-// WithSalvage toggles graceful-degradation analysis of damaged traces:
-// the analyzer recovers what survived, quarantines what didn't, and the
-// report says how much coverage was lost (see AnalysisStats.Partial).
-func WithSalvage(on bool) Option {
-	return func(c *Config) { c.Salvage = on }
 }
 
 // WithLiveFlush makes the collector durable enough to tail: every closed

@@ -10,14 +10,13 @@
 set -eu
 
 GO=${GO:-go}
+. "$(dirname "$0")/stop.sh"
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/sword-dist-smoke.XXXXXX")
 # Whatever way the script ends — success, a failed check, a coordinator
 # that never came up, or an interrupt — no sworddist process outlives it.
 coord= w1= w2=
 cleanup() {
-    for pid in $coord $w1 $w2; do
-        kill "$pid" 2>/dev/null || true
-    done
+    stop $coord $w1 $w2
     rm -rf "$tmp"
 }
 trap cleanup EXIT

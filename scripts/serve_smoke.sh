@@ -9,9 +9,15 @@
 set -eu
 
 GO=${GO:-go}
+. "$(dirname "$0")/stop.sh"
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/sword-serve-smoke.XXXXXX")
+# Whatever way the script ends, swordserve does not outlive it.
 server=
-trap 'rm -rf "$tmp"; [ -n "$server" ] && kill "$server" 2>/dev/null || true' EXIT
+cleanup() {
+    stop $server
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
 trap 'exit 1' HUP INT TERM
 
 $GO build -o "$tmp/swordrun" ./cmd/swordrun

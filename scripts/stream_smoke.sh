@@ -8,14 +8,13 @@
 set -eu
 
 GO=${GO:-go}
+. "$(dirname "$0")/stop.sh"
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/sword-stream-smoke.XXXXXX")
 # Whatever way the script ends — success, a failed check, or an
 # interrupt — neither swordrun nor swordwatch outlives it.
 runner= watcher=
 cleanup() {
-    for pid in $runner $watcher; do
-        kill "$pid" 2>/dev/null || true
-    done
+    stop $runner $watcher
     rm -rf "$tmp"
 }
 trap cleanup EXIT

@@ -67,9 +67,10 @@ type RunStats struct {
 	Metrics Snapshot
 }
 
-// Partial reports whether the analysis ran over a damaged trace in
-// salvage mode: races found hold for the surviving data only, and the
-// Analysis coverage fields say how much was lost.
+// Partial reports whether the analysis lost coverage to a damaged trace:
+// races found hold for the surviving data only, and the Analysis coverage
+// fields say how much was lost. The analysis error then matches
+// ErrTraceDamaged.
 func (s *RunStats) Partial() bool { return s.Analysis.Partial() }
 
 // newRunStats folds a registry snapshot into the summary struct.

@@ -86,6 +86,9 @@ type (
 	Race = report.Race
 	// Store persists trace logs and meta-data.
 	Store = trace.Store
+	// SalvageReport says what a damaged trace lost and why. It is the
+	// error value behind ErrTraceDamaged: recover it with errors.As.
+	SalvageReport = trace.SalvageReport
 )
 
 // Worksharing schedules, re-exported.
@@ -109,6 +112,33 @@ func Site(name string) uint64 { return omp.Site(name) }
 // ErrFinished is returned by Finish and CollectOnly when the session has
 // already been finished.
 var ErrFinished = errors.New("sword: session already finished")
+
+// ErrTraceDamaged is matched (errors.Is) by the error an analysis returns
+// when the trace was damaged — a crashed run, a filled disk, bit rot.
+// Every analysis salvages: the report returned beside the error holds the
+// races found in what survived, its stats say how much coverage was lost,
+// and its notes say what was lost and why. errors.As recovers the
+// *SalvageReport behind the error.
+var ErrTraceDamaged = trace.ErrTraceDamaged
+
+// ExitCode is the command-line verdict on an analysis outcome: 0 = clean
+// trace, no races; 3 = races found; 4 = damaged trace, no races in what
+// survived; 5 = damaged trace with races; 1 = any other failure (damage
+// without a report, as when a live wait is interrupted, included).
+func ExitCode(rep *Report, err error) int {
+	damaged := rep != nil && errors.Is(err, ErrTraceDamaged)
+	switch {
+	case err != nil && !damaged:
+		return 1
+	case damaged && rep.Len() > 0:
+		return 5
+	case damaged:
+		return 4
+	case rep.Len() > 0:
+		return 3
+	}
+	return 0
+}
 
 // Session couples a runtime with SWORD's dynamic collector and drives the
 // offline analysis. Create with NewSession, run the program on Runtime(),
@@ -228,24 +258,41 @@ func (s *Session) Finish() (*Report, *RunStats, error) {
 	if err := s.Close(); err != nil {
 		return nil, nil, fmt.Errorf("sword: close session: %w", err)
 	}
-	rep, err := core.New(s.store, core.Config{
-		Workers:      s.cfg.Workers,
-		NoSolver:     s.cfg.NoSolver,
-		NoCompact:    s.cfg.NoCompact,
-		SubtreeBatch: s.cfg.SubtreeBatch,
-		MemoryBudget: s.cfg.MemoryBudget,
-		NoPrefilter:  s.cfg.NoPrefilter,
-		AllRaces:     s.cfg.AllRaces,
-		Salvage:      s.cfg.Salvage,
-		Obs:          s.metrics,
-	}).Analyze()
-	if err != nil {
-		return nil, nil, fmt.Errorf("sword: offline analysis: %w", err)
+	rep, err := core.New(s.store, s.cfg.core(s.metrics)).Analyze()
+	rep, st, err := result("offline analysis", rep, s.metrics, err)
+	if st != nil {
+		st.Collect = s.collector.Stats()
 	}
-	st := newRunStats(s.metrics.Snapshot())
-	st.Collect = s.collector.Stats()
+	return rep, st, err
+}
+
+// core maps the public configuration onto the offline analyzer's.
+func (c Config) core(m *obs.Metrics) core.Config {
+	return core.Config{
+		Workers:      c.Workers,
+		NoSolver:     c.NoSolver,
+		NoCompact:    c.NoCompact,
+		SubtreeBatch: c.SubtreeBatch,
+		MemoryBudget: c.MemoryBudget,
+		NoPrefilter:  c.NoPrefilter,
+		AllRaces:     c.AllRaces,
+		Obs:          m,
+	}
+}
+
+// result packages an analysis outcome for the public API: the report with
+// its run summary, and the error. A damaged trace yields both — the
+// partial report and an error matching ErrTraceDamaged.
+func result(what string, rep *Report, m *obs.Metrics, err error) (*Report, *RunStats, error) {
+	if err != nil {
+		err = fmt.Errorf("sword: %s: %w", what, err)
+	}
+	if rep == nil {
+		return nil, nil, err
+	}
+	st := newRunStats(m.Snapshot())
 	st.Analysis = rep.Stats
-	return rep, st, nil
+	return rep, st, err
 }
 
 // CollectOnly flushes and closes the trace without analyzing — the
@@ -277,7 +324,9 @@ func Analyze(logDir string, opts ...Option) (*Report, *RunStats, error) {
 // directory, returning the report and the run's observability summary. A
 // cancelled or expired ctx aborts the analysis mid-flight (between
 // tree-build blocks and pair comparisons) and returns ctx.Err(); wire it
-// to signal.NotifyContext to make long analyses respond to Ctrl-C.
+// to signal.NotifyContext to make long analyses respond to Ctrl-C. A
+// damaged trace returns the partial report and summary together with an
+// error matching ErrTraceDamaged.
 //
 // This is the canonical entry point; Analyze is the background-context
 // shorthand.
@@ -312,23 +361,8 @@ func AnalyzeStoreContext(ctx context.Context, store Store, opts ...Option) (*Rep
 	if m == nil {
 		m = obs.New()
 	}
-	rep, err := core.New(store, core.Config{
-		Workers:      cfg.Workers,
-		NoSolver:     cfg.NoSolver,
-		NoCompact:    cfg.NoCompact,
-		SubtreeBatch: cfg.SubtreeBatch,
-		MemoryBudget: cfg.MemoryBudget,
-		NoPrefilter:  cfg.NoPrefilter,
-		AllRaces:     cfg.AllRaces,
-		Salvage:      cfg.Salvage,
-		Obs:          m,
-	}).AnalyzeContext(ctx)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sword: offline analysis: %w", err)
-	}
-	st := newRunStats(m.Snapshot())
-	st.Analysis = rep.Stats
-	return rep, st, nil
+	rep, err := core.New(store, cfg.core(m)).AnalyzeContext(ctx)
+	return result("offline analysis", rep, m, err)
 }
 
 // AnalyzeLive tails a trace directory that a collector may still be
@@ -340,7 +374,9 @@ func AnalyzeStoreContext(ctx context.Context, store Store, opts ...Option) (*Rep
 // WithLiveFlush so committed meta records imply durable log data;
 // without it, analysis of an episode simply waits until its data lands.
 // A cancelled ctx (the crashed-run case: the end-of-run marker never
-// appears) returns the partial live report together with ctx.Err().
+// appears) returns the partial live report together with ctx.Err(); a
+// damaged trace returns the partial report of a post-mortem pass together
+// with an error matching ErrTraceDamaged.
 func AnalyzeLive(ctx context.Context, logDir string, opts ...Option) (*Report, *RunStats, error) {
 	store, err := trace.NewDirStore(logDir)
 	if err != nil {
@@ -359,32 +395,12 @@ func AnalyzeLiveStore(ctx context.Context, store Store, opts ...Option) (*Report
 		m = obs.New()
 	}
 	rep, err := stream.New(store, stream.Config{
-		Core: core.Config{
-			Workers:      cfg.Workers,
-			NoSolver:     cfg.NoSolver,
-			NoCompact:    cfg.NoCompact,
-			SubtreeBatch: cfg.SubtreeBatch,
-			MemoryBudget: cfg.MemoryBudget,
-			NoPrefilter:  cfg.NoPrefilter,
-			AllRaces:     cfg.AllRaces,
-			Obs:          m,
-		},
+		Core:         cfg.core(m),
 		PollInterval: cfg.PollInterval,
 		OnRace:       cfg.OnRace,
 		Obs:          m,
 	}).Run(ctx)
-	if err != nil {
-		if rep != nil {
-			// Partial result (cancelled mid-run); hand both back.
-			st := newRunStats(m.Snapshot())
-			st.Analysis = rep.Stats
-			return rep, st, fmt.Errorf("sword: live analysis: %w", err)
-		}
-		return nil, nil, fmt.Errorf("sword: live analysis: %w", err)
-	}
-	st := newRunStats(m.Snapshot())
-	st.Analysis = rep.Stats
-	return rep, st, nil
+	return result("live analysis", rep, m, err)
 }
 
 // Check runs program under SWORD with defaults and returns its race

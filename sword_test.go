@@ -1,13 +1,16 @@
 package sword_test
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"sword"
+	"sword/internal/report"
 )
 
 func TestCheckFindsLoopRace(t *testing.T) {
@@ -201,5 +204,25 @@ func TestValidateTracePublicAPI(t *testing.T) {
 	}
 	if err := sword.ValidateTrace(dir); err == nil {
 		t.Fatal("truncated trace validated")
+	}
+}
+
+// TestExitCode pins the command-line verdict, including damage that comes
+// without a report (an interrupted live wait), which is a plain failure.
+func TestExitCode(t *testing.T) {
+	racy := report.New()
+	racy.Add(report.Race{First: report.Side{PC: 1, Write: true}, Second: report.Side{PC: 2, Write: true}})
+	damage := fmt.Errorf("sword: live analysis: %w", &sword.SalvageReport{Truncated: true})
+	for i, c := range []struct {
+		rep  *sword.Report
+		err  error
+		want int
+	}{
+		{report.New(), nil, 0}, {racy, nil, 3}, {report.New(), damage, 4}, {racy, damage, 5},
+		{nil, errors.New("analysis failed"), 1}, {nil, damage, 1}, {racy, context.Canceled, 1},
+	} {
+		if got := sword.ExitCode(c.rep, c.err); got != c.want {
+			t.Errorf("case %d: exit %d, want %d", i, got, c.want)
+		}
 	}
 }
