@@ -14,7 +14,7 @@ FAST_PKGS = . ./internal/archer ./internal/compress ./internal/core \
 	./internal/report ./internal/rt ./internal/server ./internal/stream \
 	./internal/trace ./internal/vc ./internal/workloads
 
-.PHONY: build test check fmt vet race bench bench-smoke dist-smoke serve-smoke stream-smoke fuzz profile leftovers
+.PHONY: build test check fmt vet race stress bench bench-smoke dist-smoke serve-smoke stream-smoke fuzz profile leftovers
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,12 @@ fmt:
 race:
 	$(GO) test -race $(FAST_PKGS)
 	$(GO) test -race -short -run 'TestDifferentialSweepVsProbe|TestAnalyzerBenchSmoke|TestStaticFilterDifferential|TestStaticFilterSmoke|TestStreamDifferentialRandom|TestStreamDifferentialWorkloads' ./internal/harness
+
+# Stress lane, outside `make check`: the packages whose tests depend most
+# on scheduling (the experiment harness, the streaming analyzer and the
+# analyzer core), three times over at one and at four CPUs.
+stress:
+	$(GO) test -count=3 -cpu 1,4 ./internal/harness ./internal/stream ./internal/core
 
 # Short fuzz pass over the trace readers: adversarial inputs must never
 # panic or allocate unboundedly (seed corpus built in internal/trace).

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -131,9 +132,24 @@ type Analyzer struct {
 	// blockBufs keeps the slot pipelines' block buffers between slots, so
 	// SubtreeBatch batches and distributed work lists re-stream the logs
 	// without reallocating them. A running pipeline holds exactly two and
-	// at most workers slots stream at once, so it holds two per worker.
+	// at most workers slots stream at once, so it holds two per worker. A
+	// live run hands every round's analyzer the same stash.
 	bufsOnce  sync.Once
 	blockBufs chan []byte
+
+	// blocksDecoded counts the log blocks every pass decompressed (read,
+	// not skipped), for the live finalize pass's accounting.
+	blocksDecoded atomicCounter
+}
+
+// newBlockStash returns a stash of two block buffers per worker, each
+// grown to the block size on first use.
+func newBlockStash(workers int) chan []byte {
+	stash := make(chan []byte, 2*workers)
+	for range 2 * workers {
+		stash <- nil
+	}
+	return stash
 }
 
 // slotDamage is what the passes over one slot's log found wrong with it.
@@ -210,17 +226,12 @@ func (a *Analyzer) loadPCs() (*pcreg.Table, []trace.SalvageEntry) {
 func (a *Analyzer) AnalyzeContext(ctx context.Context) (*report.Report, error) {
 	rep := report.New()
 	pcs, pcDamage := a.loadPCs()
-	return a.analyze(ctx, newCompareEngine(a.cfg, pcs, rep), rep, nil, pcDamage)
+	return a.analyze(ctx, newCompareEngine(a.cfg, pcs, rep), rep, pcDamage)
 }
 
-// analyze is the batched analysis loop behind AnalyzeContext, reusable by
-// the live analyzer's finalize pass: eng and rep may arrive warm (solver
-// memo, confirmed race sites, races already reported during the run), and
-// skip, when non-nil, drops enumerated pairs that were already compared
-// live. Dropped pairs still count toward Stats.IntervalPairs, so the final
-// stats describe the same pair population a pure post-mortem run reports.
-// pcDamage is what loadPCs found wrong with the pc table.
-func (a *Analyzer) analyze(ctx context.Context, eng *compareEngine, rep *report.Report, skip func([2]*treeUnit) bool, pcDamage []trace.SalvageEntry) (*report.Report, error) {
+// analyze is the batched analysis loop behind AnalyzeContext. pcDamage is
+// what loadPCs found wrong with the pc table.
+func (a *Analyzer) analyze(ctx context.Context, eng *compareEngine, rep *report.Report, pcDamage []trace.SalvageEntry) (*report.Report, error) {
 	workers := EffectiveWorkers(a.cfg.Workers)
 	m := a.cfg.Obs
 	totalStart := time.Now()
@@ -266,7 +277,7 @@ func (a *Analyzer) analyze(ctx context.Context, eng *compareEngine, rep *report.
 		// Trace-volume counters only on the first pass: every batch
 		// streams the full logs again, which must not double-count.
 		phaseStart = time.Now()
-		if err := a.buildTrees(ctx, s, workers, include, nil, lo == 0); err != nil {
+		if err := a.buildTrees(ctx, s, workers, logPass{include: include, events: lo == 0, volume: lo == 0}); err != nil {
 			return nil, err
 		}
 		m.Timer("core.phase.trees").Observe(time.Since(phaseStart))
@@ -275,15 +286,6 @@ func (a *Analyzer) analyze(ctx context.Context, eng *compareEngine, rep *report.
 		a.applyQuarantine(s, nil)
 		pairs, dropped, retired := enumeratePairs(s, include, true, !a.cfg.NoPrefilter, false)
 		total := len(pairs)
-		if skip != nil {
-			kept := pairs[:0]
-			for _, p := range pairs {
-				if !skip(p) {
-					kept = append(kept, p)
-				}
-			}
-			pairs = kept
-		}
 		schedulePairs(pairs)
 		rep.Stats.IntervalPairs += total
 		rep.Stats.PairsPrefiltered += dropped
@@ -321,6 +323,14 @@ func (a *Analyzer) analyze(ctx context.Context, eng *compareEngine, rep *report.
 			break
 		}
 	}
+	return rep, a.finish(s, eng, rep, totalStart)
+}
+
+// finish closes an analysis: it folds the damage into the report, copies
+// the engine's effort counters into the stats and the registry, and stops
+// the core.phase.total timer. It returns the damage as the analysis error.
+func (a *Analyzer) finish(s *structure, eng *compareEngine, rep *report.Report, start time.Time) error {
+	m := a.cfg.Obs
 	damage := a.finishDamage(s, rep)
 	rep.Stats.NodeComparisons = eng.comparisons.load()
 	rep.Stats.SolverCalls = eng.solverCalls.load()
@@ -335,8 +345,8 @@ func (a *Analyzer) analyze(ctx context.Context, eng *compareEngine, rep *report.
 	m.Counter("core.solver_cache_misses").Add(eng.cacheMisses.load())
 	m.Counter("core.sites_suppressed").Add(eng.suppressed.load())
 	m.Counter("core.races").Add(uint64(rep.Len()))
-	m.Timer("core.phase.total").Observe(time.Since(totalStart))
-	return rep, damage
+	m.Timer("core.phase.total").Observe(time.Since(start))
+	return damage
 }
 
 // budgetBatch derives the largest SubtreeBatch whose every consecutive
@@ -546,37 +556,41 @@ send:
 	return ctx.Err()
 }
 
+// logPass says what one pass over the logs builds and what it reads.
+type logPass struct {
+	include map[uint64]bool    // build only these top-level subtrees (nil: all)
+	only    map[*interval]bool // build only these intervals (nil: all)
+	// decoded, when non-nil, holds per slot the logical spans earlier
+	// passes decoded, sorted and disjoint: the pass then walks every
+	// slot's log to its end and skips exactly the blocks lying wholly
+	// inside them — the live finalize pass.
+	decoded map[int][][2]uint64
+	events  bool // add the events decoded to trace.events
+	volume  bool // add the log volume walked to trace.blocks and the byte totals
+}
+
 // buildTrees streams every slot's log once, routing access events into the
 // interval trees of that slot's intervals (restricted to the top-level
-// subtrees in include when non-nil, and to the explicit interval set in
-// only when non-nil — the distributed batch path, which also skips slots
-// owning no wanted interval entirely). Each slot is processed by a single
-// worker — tree construction is not shared, matching the paper's note that
-// each core generates the tree of a different thread. countIO records the
-// consumed trace volume into the obs registry; the caller sets it only on
-// the first batch, because later batches re-stream the same logs.
-func (a *Analyzer) buildTrees(ctx context.Context, s *structure, workers int, include map[uint64]bool, only map[*interval]bool, countIO bool) error {
+// subtrees in pass.include when non-nil, and to the explicit interval set
+// in pass.only when non-nil — the live and distributed paths, which also
+// skip slots owning no wanted interval entirely unless pass.decoded is
+// set). Each slot is processed by a single worker — tree construction is
+// not shared, matching the paper's note that each core generates the tree
+// of a different thread. Batched passes set pass.volume only on the first
+// batch, because later batches re-stream the same logs.
+func (a *Analyzer) buildTrees(ctx context.Context, s *structure, workers int, pass logPass) error {
 	slots := make([]int, 0, len(s.bySlot))
 	for slot := range s.bySlot {
-		if only != nil {
-			wanted := false
-			for _, iv := range s.bySlot[slot] {
-				if only[iv] {
-					wanted = true
-					break
-				}
-			}
-			if !wanted {
-				continue // no referenced interval lives here: skip the log
-			}
+		if pass.only != nil && pass.decoded == nil &&
+			!slices.ContainsFunc(s.bySlot[slot], func(iv *interval) bool { return pass.only[iv] }) {
+			continue // no referenced interval lives here: skip the log
 		}
 		slots = append(slots, slot)
 	}
 	sort.Ints(slots)
 	a.bufsOnce.Do(func() {
-		a.blockBufs = make(chan []byte, 2*workers)
-		for range 2 * workers {
-			a.blockBufs <- nil // grown to the block size on first use
+		if a.blockBufs == nil {
+			a.blockBufs = newBlockStash(workers)
 		}
 	})
 	sem := make(chan struct{}, workers)
@@ -588,7 +602,7 @@ func (a *Analyzer) buildTrees(ctx context.Context, s *structure, workers int, in
 		go func(slot int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs <- a.buildSlotTrees(ctx, s, slot, include, only, countIO)
+			errs <- a.buildSlotTrees(ctx, s, slot, pass)
 		}(slot)
 	}
 	wg.Wait()
@@ -736,11 +750,11 @@ func (c *slotCursor) finish() {
 	}
 }
 
-func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, include map[uint64]bool, only map[*interval]bool, countIO bool) error {
+func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, pass logPass) error {
 	// Only the intervals this pass builds get units finalized: an excluded
 	// interval may hold runs resident from an earlier batch that are
 	// already finalized.
-	cur := newSlotCursor(s.bySlot[slot], include, only, a.cfg.ProbeEngine, !a.cfg.NoCompact)
+	cur := newSlotCursor(s.bySlot[slot], pass.include, pass.only, a.cfg.ProbeEngine, !a.cfg.NoCompact)
 	defer func() {
 		cur.finish()
 		a.cfg.Obs.Counter("core.run_builder_bytes").Add(cur.builderBytes)
@@ -760,7 +774,7 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 	lr := trace.NewLogReader(src)
 	defer lr.Close()
 	file := fmt.Sprintf("log %d", slot)
-	pass := newSlotDamage()
+	found := newSlotDamage()
 	// In batched mode (and for the live and distributed interval sets) a
 	// block whose logical span intersects none of the pass's fragments
 	// holds only data this pass would decode and throw away; skip its
@@ -768,9 +782,20 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 	// order, so one cursor over the wanted spans suffices. A skipped
 	// payload is not integrity-checked here: it holds no data of this
 	// pass, and the pass that builds from it checks it. The full
-	// single-pass analysis decodes everything.
+	// single-pass analysis decodes everything. The live finalize pass is
+	// the last to read the logs: it skips only what a live round already
+	// decoded, so every other block is checked and its strays counted.
 	var skipBlock func(start, rawLen uint64) bool
-	if include != nil || only != nil {
+	switch {
+	case pass.decoded != nil:
+		done, i := pass.decoded[slot], 0
+		skipBlock = func(start, rawLen uint64) bool {
+			for i < len(done) && done[i][1] <= start {
+				i++
+			}
+			return i < len(done) && done[i][0] <= start && start+rawLen <= done[i][1]
+		}
+	case pass.include != nil || pass.only != nil:
 		var wanted [][2]uint64
 		for _, sp := range cur.spans {
 			if sp.unit != nil {
@@ -803,7 +828,7 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 				// malformed: write the rest of the block off as lost and
 				// resync at the next block boundary.
 				end := b.start + uint64(len(b.raw))
-				pass.lost[pos] = trace.SalvageEntry{File: file, Block: -1, LogicalStart: pos, LogicalEnd: end,
+				found.lost[pos] = trace.SalvageEntry{File: file, Block: -1, LogicalStart: pos, LogicalEnd: end,
 					Cause: fmt.Sprintf("undecodable events (%v)", err)}
 				break
 			}
@@ -836,7 +861,7 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 			}
 		}
 		if stray > 0 {
-			pass.stray[b.start] = stray
+			found.stray[b.start] = stray
 		}
 		cur.settle()
 		p.free <- b.raw
@@ -847,20 +872,23 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 	// End of stream: the reader goroutine is done, so the LogReader's
 	// totals and damage report are stable.
 	srep := lr.Salvage()
-	pass.logEnd = lr.RawBytes()
-	pass.truncated = srep.Truncated
+	found.logEnd = lr.RawBytes()
+	found.truncated = srep.Truncated
 	for _, e := range srep.Entries {
 		e.File = file
 		if e.LogicalEnd > e.LogicalStart {
-			pass.lost[e.LogicalStart] = e
+			found.lost[e.LogicalStart] = e
 		} else {
-			pass.framing[e.Offset] = e
+			found.framing[e.Offset] = e
 		}
 	}
-	a.mergeDamage(slot, pass)
+	a.mergeDamage(slot, found)
+	a.blocksDecoded.add(lr.Blocks() - lr.BlocksSkipped())
 	if m := a.cfg.Obs; m != nil {
-		if countIO {
+		if pass.events {
 			m.Counter("trace.events").Add(events)
+		}
+		if pass.volume {
 			m.Counter("trace.blocks").Add(lr.Blocks())
 			m.Counter("trace.raw_bytes").Add(lr.RawBytes())
 			m.Counter("trace.compressed_bytes").Add(lr.CompressedBytes())
@@ -998,25 +1026,12 @@ func (p *blockPipeline) release(stash chan<- []byte) {
 // Byte volume comes from the meta files alone, so the planner retires
 // exactly the pair classes whose accesses were all dropped at collection.
 func enumeratePairs(s *structure, include map[uint64]bool, skipEmpty, prefilter, planning bool) ([][2]*treeUnit, uint64, uint64) {
-	// Same-region pairs, grouped by (pid, bid).
-	type groupKey struct{ pid, bid uint64 }
-	groups := make(map[groupKey][]*interval)
-	byRegion := make(map[uint64][]*interval)
-	for _, iv := range s.intervals {
-		if iv.quarantined {
-			continue // the interval's data did not survive
-		}
-		if include != nil && !include[iv.region.top.id] {
-			continue
-		}
-		groups[groupKey{iv.key.PID, iv.key.BID}] = append(groups[groupKey{iv.key.PID, iv.key.BID}], iv)
-		byRegion[iv.key.PID] = append(byRegion[iv.key.PID], iv)
-	}
+	ix := indexIntervals(s, include)
 	// Pre-size from the per-group unit counts: same-region pairing
 	// dominates, contributing Σ_{i<j} u_i·u_j = (U² − Σu_i²)/2 candidates
 	// per group. Cross-region pairs come on top; the maps simply grow then.
 	est := 0
-	for _, g := range groups {
+	for _, g := range ix.groups {
 		sumU, sumSq := 0, 0
 		for _, iv := range g {
 			u := len(iv.units)
@@ -1025,99 +1040,98 @@ func enumeratePairs(s *structure, include map[uint64]bool, skipEmpty, prefilter,
 		}
 		est += (sumU*sumU - sumSq) / 2
 	}
-	pairs := make([][2]*treeUnit, 0, est)
-	seen := make(map[[2]*treeUnit]struct{}, est)
-	var prefiltered, retired uint64
-	addUnits := func(x, y *treeUnit) {
-		// Certificate retirement first, so the retired count reflects every
-		// pair class the static proof killed — including the ones the
-		// empty-unit skip would have caught for free (a trusted clean
-		// certificate's units are empty precisely because collection
-		// dropped everything). The nodeCount guard is defense in depth: if
-		// a unit somehow holds content, the pair falls through to a real
-		// comparison instead of being skipped on the proof alone.
-		emptyX, emptyY := x.nodeCount() == 0, y.nodeCount() == 0
-		if planning {
-			emptyX, emptyY = unitBytes(x) == 0, unitBytes(y) == 0
-		}
-		if ci := x.iv.cert; ci != nil && ci.retire && y.iv.cert == ci &&
-			emptyX && emptyY {
-			k := [2]*treeUnit{x, y}
-			if lessKey(y.iv.key, x.iv.key) || (x.iv.key == y.iv.key && y.cut < x.cut) {
-				k = [2]*treeUnit{y, x}
-			}
-			before := len(seen)
-			seen[k] = struct{}{}
-			if len(seen) != before {
-				retired++
-			}
-			return
-		}
-		if skipEmpty && (x.nodeCount() == 0 || y.nodeCount() == 0) {
-			return
-		}
-		k := [2]*treeUnit{x, y}
-		if lessKey(y.iv.key, x.iv.key) || (x.iv.key == y.iv.key && y.cut < x.cut) {
-			k = [2]*treeUnit{y, x}
-		}
-		// One map operation per candidate: the insert's effect on len
-		// doubles as the membership probe. Pre-filtered pairs enter the
-		// map too, so each distinct dropped pair counts exactly once.
-		before := len(seen)
-		seen[k] = struct{}{}
-		if len(seen) == before {
-			return
-		}
-		if prefilter && x.hasSum && y.hasSum && !summariesMayRace(&x.sum, &y.sum) {
-			prefiltered++
-			return
-		}
-		pairs = append(pairs, k)
-	}
-	// add pairs every unit of x with every unit of y.
-	add := func(x, y *interval) {
-		for _, ux := range x.units {
-			for _, uy := range y.units {
-				addUnits(ux, uy)
-			}
-		}
-	}
-	// addWindow pairs only x's units inside [lo, hi) with all of y's.
-	addWindow := func(x *interval, lo, hi uint64, y *interval) {
-		for _, ux := range x.units {
-			if ux.cut < lo || ux.cut >= hi {
-				continue
-			}
-			for _, uy := range y.units {
-				addUnits(ux, uy)
-			}
-		}
-	}
-	for _, g := range groups {
-		sort.Slice(g, func(i, j int) bool { return g[i].key.TID < g[j].key.TID })
-		for i := 0; i < len(g); i++ {
-			for j := i + 1; j < len(g); j++ {
-				add(g[i], g[j])
-			}
-		}
-	}
+	ps := &pairSet{skipEmpty: skipEmpty, prefilter: prefilter, planning: planning,
+		pairs: make([][2]*treeUnit, 0, est), seen: make(map[[2]*treeUnit]struct{}, est)}
+	ix.walk(ps.addAll, ps.addAll, ps.addWindow)
+	sortPairs(ps.pairs)
+	return ps.pairs, ps.prefiltered, ps.retired
+}
 
-	// Cross-region pairs within each top-level subtree.
-	for topID, regions := range s.topGroups {
-		if len(regions) < 2 {
-			continue
+// pairSet collects the distinct concurrent unit pairs enumeratePairs
+// offers it, with the retirement, empty-unit and pre-filter decisions.
+type pairSet struct {
+	skipEmpty, prefilter, planning bool
+
+	seen                 map[[2]*treeUnit]struct{}
+	pairs                [][2]*treeUnit
+	prefiltered, retired uint64
+}
+
+// add offers one unit pair.
+func (ps *pairSet) add(x, y *treeUnit) {
+	// Certificate retirement first, so the retired count reflects every
+	// pair class the static proof killed — including the ones the
+	// empty-unit skip would have caught for free (a trusted clean
+	// certificate's units are empty precisely because collection
+	// dropped everything). The nodeCount guard is defense in depth: if
+	// a unit somehow holds content, the pair falls through to a real
+	// comparison instead of being skipped on the proof alone.
+	emptyX, emptyY := x.nodeCount() == 0, y.nodeCount() == 0
+	if ps.planning {
+		emptyX, emptyY = unitBytes(x) == 0, unitBytes(y) == 0
+	}
+	k := [2]*treeUnit{x, y}
+	if lessUnit(y.iv.key, y.cut, x.iv.key, x.cut) {
+		k = [2]*treeUnit{y, x}
+	}
+	if ci := x.iv.cert; ci != nil && ci.retire && y.iv.cert == ci &&
+		emptyX && emptyY {
+		before := len(ps.seen)
+		ps.seen[k] = struct{}{}
+		if len(ps.seen) != before {
+			ps.retired++
 		}
-		if include != nil && !include[topID] {
-			continue
-		}
-		for i := 0; i < len(regions); i++ {
-			for j := i + 1; j < len(regions); j++ {
-				crossRegionPairs(regions[i], regions[j], byRegion, add, addWindow)
-			}
+		return
+	}
+	if ps.skipEmpty && (emptyX || emptyY) {
+		return
+	}
+	// One map operation per candidate: the insert's effect on len
+	// doubles as the membership probe. Pre-filtered pairs enter the
+	// map too, so each distinct dropped pair counts exactly once.
+	before := len(ps.seen)
+	ps.seen[k] = struct{}{}
+	if len(ps.seen) == before {
+		return
+	}
+	if ps.prefilter && x.hasSum && y.hasSum && !summariesMayRace(&x.sum, &y.sum) {
+		ps.prefiltered++
+		return
+	}
+	ps.pairs = append(ps.pairs, k)
+}
+
+// addAll offers every unit of x against every unit of y.
+func (ps *pairSet) addAll(x, y *interval) {
+	for _, ux := range x.units {
+		for _, uy := range y.units {
+			ps.add(ux, uy)
 		}
 	}
-	// Canonical order: schedulePairs sorts by descending cost with a
-	// stable sort, so this is the deterministic tie-break.
+}
+
+// addWindow offers x's units with cuts in [lo, hi) against all of y's.
+func (ps *pairSet) addWindow(x *interval, lo, hi uint64, y *interval) {
+	for _, ux := range x.units {
+		if ux.cut < lo || ux.cut >= hi {
+			continue
+		}
+		for _, uy := range y.units {
+			ps.add(ux, uy)
+		}
+	}
+}
+
+// lessUnit orders units by interval key, then fragment cut: the canonical
+// orientation of a pair.
+func lessUnit(a trace.IntervalKey, ca uint64, b trace.IntervalKey, cb uint64) bool {
+	return lessKey(a, b) || (a == b && ca < cb)
+}
+
+// sortPairs puts pairs in canonical order: schedulePairs sorts by
+// descending cost with a stable sort, so this is the deterministic
+// tie-break.
+func sortPairs(pairs [][2]*treeUnit) {
 	sort.Slice(pairs, func(i, j int) bool {
 		a, b := pairs[i], pairs[j]
 		if a[0].iv.key != b[0].iv.key {
@@ -1131,7 +1145,75 @@ func enumeratePairs(s *structure, include map[uint64]bool, skipEmpty, prefilter,
 		}
 		return a[1].cut < b[1].cut
 	})
-	return pairs, prefiltered, retired
+}
+
+// intervalIndex holds the analyzable intervals (not quarantined, inside
+// the batch) in the two views pairing needs: barrier groups, and, for the
+// regions sharing a top-level subtree with another, intervals by region.
+type intervalIndex struct {
+	s        *structure
+	include  map[uint64]bool
+	groups   [][]*interval // one per (pid, bid), each in tid order
+	byRegion map[uint64][]*interval
+}
+
+func indexIntervals(s *structure, include map[uint64]bool) *intervalIndex {
+	ix := &intervalIndex{s: s, include: include, byRegion: make(map[uint64][]*interval)}
+	ivs := make([]*interval, 0, len(s.intervals))
+	for _, iv := range s.intervals {
+		if iv.quarantined {
+			continue // the interval's data did not survive
+		}
+		if include != nil && !include[iv.region.top.id] {
+			continue
+		}
+		ivs = append(ivs, iv)
+	}
+	slices.SortFunc(ivs, func(a, b *interval) int {
+		return cmp.Or(cmp.Compare(a.key.PID, b.key.PID), cmp.Compare(a.key.BID, b.key.BID), cmp.Compare(a.key.TID, b.key.TID))
+	})
+	for lo := 0; lo < len(ivs); {
+		hi := lo + 1
+		for hi < len(ivs) && ivs[hi].key.PID == ivs[lo].key.PID && ivs[hi].key.BID == ivs[lo].key.BID {
+			hi++
+		}
+		ix.groups = append(ix.groups, ivs[lo:hi:hi])
+		lo = hi
+	}
+	for _, iv := range ivs {
+		if len(s.topGroups[iv.region.top.id]) > 1 {
+			ix.byRegion[iv.key.PID] = append(ix.byRegion[iv.key.PID], iv)
+		}
+	}
+	return ix
+}
+
+// walk visits every pair of concurrent intervals: same calls each
+// same-group pair exactly once; cross and crossWindow are the
+// cross-region relations, which may repeat a pair — crossWindow pairs
+// only x's units with cuts in [lo, hi) against all of y's.
+func (ix *intervalIndex) walk(same, cross func(x, y *interval), crossWindow func(x *interval, lo, hi uint64, y *interval)) {
+	for _, g := range ix.groups {
+		for i := 0; i < len(g); i++ {
+			for j := i + 1; j < len(g); j++ {
+				same(g[i], g[j])
+			}
+		}
+	}
+	// Cross-region pairs within each top-level subtree.
+	for topID, regions := range ix.s.topGroups {
+		if len(regions) < 2 {
+			continue
+		}
+		if ix.include != nil && !ix.include[topID] {
+			continue
+		}
+		for i := 0; i < len(regions); i++ {
+			for j := i + 1; j < len(regions); j++ {
+				crossRegionPairs(regions[i], regions[j], ix.byRegion, cross, crossWindow)
+			}
+		}
+	}
 }
 
 // summariesMayRace decides from two unit summaries alone whether any node

@@ -74,7 +74,7 @@ func liveReport(t *testing.T, store trace.Store, cfg Config) *report.Report {
 	if _, err := l.Step(context.Background(), store, inputs, groups); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := l.Finalize(context.Background(), store)
+	rep, err := l.Finalize(context.Background(), store, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

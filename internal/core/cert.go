@@ -128,18 +128,13 @@ func descendantForkedAt(s *structure, r *region, bid uint64) bool {
 // dropped accesses belong to, or nil when the interval has none to
 // rematerialize (no certificate, a retired one, or an empty row).
 func certUnit(iv *interval) *treeUnit {
-	ci := iv.cert
-	if ci == nil || ci.retire || len(iv.units) == 0 {
-		return nil
-	}
-	row := ci.certRowOf(iv)
-	if row < 0 || rowDropped(&ci.c.Threads[row]) == 0 {
+	if !certDrops(iv) || len(iv.units) == 0 {
 		return nil
 	}
 	if iv.taskParent {
 		// Per-fragment units: the certificate recorded the fragment cut
 		// the loop armed in; place the accesses there.
-		cut := ci.c.Threads[row].Cut
+		cut := iv.cert.c.Threads[iv.cert.certRowOf(iv)].Cut
 		for _, cand := range iv.units {
 			if cand.cut == cut {
 				return cand
@@ -147,6 +142,17 @@ func certUnit(iv *interval) *treeUnit {
 		}
 	}
 	return iv.units[0]
+}
+
+// certDrops reports whether building the interval rematerializes dropped
+// accesses: it has a voided or untrusted certificate whose row dropped any.
+func certDrops(iv *interval) bool {
+	ci := iv.cert
+	if ci == nil || ci.retire {
+		return false
+	}
+	row := ci.certRowOf(iv)
+	return row >= 0 && rowDropped(&ci.c.Threads[row]) > 0
 }
 
 // materializeCert reconstructs the interval's dropped access prefix and

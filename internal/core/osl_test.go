@@ -29,7 +29,7 @@ func buildFromProgram(t *testing.T, program func(rtm *omp.Runtime, space *memsim
 	// Materialize interval trees so pairing (which skips empty units) sees
 	// the accesses.
 	a := &Analyzer{store: store}
-	if err := a.buildTrees(context.Background(), s, 1, nil, nil, false); err != nil {
+	if err := a.buildTrees(context.Background(), s, 1, logPass{}); err != nil {
 		t.Fatal(err)
 	}
 	return s

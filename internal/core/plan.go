@@ -306,7 +306,7 @@ func (b *BatchAnalyzer) AnalyzeUnits(ctx context.Context, units []PairUnit) (*re
 		}
 	}
 	if len(missing) > 0 {
-		if err := b.a.buildTrees(ctx, b.s, workers, nil, missing, false); err != nil {
+		if err := b.a.buildTrees(ctx, b.s, workers, logPass{only: missing}); err != nil {
 			return nil, err
 		}
 	}

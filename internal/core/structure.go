@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 	"strings"
@@ -92,6 +94,11 @@ type interval struct {
 	// its region's structure is unrecoverable. The flag persists across
 	// SubtreeBatch batches.
 	quarantined bool
+
+	// live is what a live round recorded when it built this interval,
+	// set by the live finalize pass when it still describes the
+	// interval's final shape (live.go); nil everywhere else.
+	live *liveBuild
 }
 
 // treeUnit is a comparable chunk of an interval's accesses.
@@ -252,11 +259,14 @@ func (s *structure) note(format string, args ...any) {
 
 // slotRecords is one slot's decoded meta stream: the input unit assemble
 // consumes. buildStructure fills it from the store's meta files; the
-// streaming analyzer fills it from its tailing readers.
+// streaming analyzer fills it from its tailing readers. err is what reading
+// the stream found beyond the records: nil, a *trace.SalvageReport for a
+// torn or damaged stream, or the error that kept it from being read.
 type slotRecords struct {
 	slot  int
 	metas []trace.Meta
 	certs []trace.LoopCert
+	err   error
 }
 
 // newStructure returns an empty structure ready for assemble.
@@ -271,15 +281,30 @@ func newStructure() *structure {
 }
 
 // buildStructure loads every slot's meta-data file plus the taskwaits
-// table and reconstructs regions and intervals. Damage is recorded, not
-// fatal: torn meta streams contribute their intact prefix, and regions
-// whose structure cannot be recovered (a parent lost with a damaged slot)
-// are quarantined together with their intervals.
+// table and reconstructs regions and intervals (see recoverStructure).
 func buildStructure(store trace.Store) (*structure, error) {
 	slots, err := store.Slots()
 	if err != nil {
 		return nil, fmt.Errorf("core: list slots: %w", err)
 	}
+	inputs := make([]slotRecords, len(slots))
+	for i, slot := range slots {
+		in := &inputs[i]
+		in.slot = slot
+		var src io.ReadCloser
+		if src, in.err = store.OpenMeta(slot); in.err == nil {
+			in.metas, in.certs, in.err = trace.ReadAllMetaCerts(src)
+		}
+	}
+	return recoverStructure(store, inputs), nil
+}
+
+// recoverStructure reconstructs regions and intervals from every slot's
+// meta records plus the store's taskwaits table. Damage is recorded, not
+// fatal: torn meta streams contribute their intact prefix, and regions
+// whose structure cannot be recovered (a parent lost with a damaged slot)
+// are quarantined together with their intervals.
+func recoverStructure(store trace.Store, inputs []slotRecords) *structure {
 	s := newStructure()
 	taskWaits := map[uint64]uint64{}
 	if aux, err := store.OpenAux("taskwaits"); err == nil {
@@ -291,34 +316,27 @@ func buildStructure(store trace.Store) (*structure, error) {
 			taskWaits = map[uint64]uint64{}
 		}
 	}
-	var inputs []slotRecords
-	for _, slot := range slots {
-		var metas []trace.Meta
-		var certs []trace.LoopCert
-		src, err := store.OpenMeta(slot)
-		if err == nil {
-			metas, certs, err = trace.ReadAllMetaCerts(src)
+	for _, in := range inputs {
+		if in.err == nil {
+			continue
 		}
-		if err != nil {
-			// A torn or damaged stream keeps its intact records; an
-			// unreadable one keeps none.
-			var rep *trace.SalvageReport
-			if !errors.As(err, &rep) {
-				rep = &trace.SalvageReport{Truncated: true,
-					Entries: []trace.SalvageEntry{{Block: -1, Cause: fmt.Sprintf("unreadable (%v)", err)}}}
-			}
-			if rep.Truncated {
-				s.truncatedMeta[slot] = true
-			}
-			for _, e := range rep.Entries {
-				e.File = fmt.Sprintf("meta %d", slot)
-				s.damage = append(s.damage, e)
-			}
+		// A torn or damaged stream keeps its intact records; an
+		// unreadable one keeps none.
+		var rep *trace.SalvageReport
+		if !errors.As(in.err, &rep) {
+			rep = &trace.SalvageReport{Truncated: true,
+				Entries: []trace.SalvageEntry{{Block: -1, Cause: fmt.Sprintf("unreadable (%v)", in.err)}}}
 		}
-		inputs = append(inputs, slotRecords{slot: slot, metas: metas, certs: certs})
+		if rep.Truncated {
+			s.truncatedMeta[in.slot] = true
+		}
+		for _, e := range rep.Entries {
+			e.File = fmt.Sprintf("meta %d", in.slot)
+			s.damage = append(s.damage, e)
+		}
 	}
 	s.assemble(inputs, taskWaits)
-	return s, nil
+	return s
 }
 
 // assemble reconstructs regions and intervals from decoded meta records:
@@ -435,7 +453,9 @@ func (s *structure) assemble(inputs []slotRecords, taskWaits map[uint64]uint64) 
 	// Deterministic fragment order within each interval and interval order
 	// within each slot (analysis routing relies on position order).
 	for _, iv := range s.intervals {
-		sort.Slice(iv.frags, func(i, j int) bool { return iv.frags[i].begin < iv.frags[j].begin })
+		if len(iv.frags) > 1 {
+			slices.SortFunc(iv.frags, func(a, b fragment) int { return cmp.Compare(a.begin, b.begin) })
+		}
 	}
 	for slot := range s.bySlot {
 		ivs := s.bySlot[slot]

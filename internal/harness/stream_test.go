@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,5 +110,68 @@ func TestStreamDifferentialWorkloads(t *testing.T) {
 				w.Run(&workloads.Ctx{RT: rtm, Space: space, Threads: 4, Size: w.DefaultSize})
 			})
 		})
+	}
+}
+
+// TestStreamCatchUpDifferential: catch-up on a finished store — where the
+// finalize pass settles the deferred pairs from what the rounds recorded
+// and decodes only what they did not — equals post-mortem on every
+// bundled workload, with the static filter off and on (certificates), on
+// the intact trace and with a meta or log file cut short. Races are
+// compared by site (witness addresses depend on detection order, ROADMAP
+// 1(b)), the error and every stat but the engine's effort counters
+// exactly.
+func TestStreamCatchUpDifferential(t *testing.T) {
+	sites := func(rep *report.Report) string {
+		var b strings.Builder
+		for _, r := range rep.Races() {
+			r.Addr = 0
+			b.WriteString(r.String() + "\n")
+		}
+		return b.String()
+	}
+	structural := func(s report.Stats) report.Stats {
+		s.NodeComparisons, s.SolverCalls, s.SolverCacheHits, s.SolverCacheMisses, s.SitesSuppressed = 0, 0, 0, 0, 0
+		return s
+	}
+	for _, w := range workloads.All() {
+		for _, filter := range []bool{false, true} {
+			store := trace.NewMemStore()
+			col := rt.New(store, rt.Config{Synchronous: true, MaxEvents: 64, StaticFilter: filter})
+			w.Run(&workloads.Ctx{RT: omp.New(omp.WithTool(col)), Space: memsim.NewSpace(nil), Threads: 4, Size: w.DefaultSize})
+			if err := col.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, cut := range []string{"", "meta:1", "log:1"} {
+				var st trace.Store = store
+				if cut != "" {
+					fs := trace.NewFaultStore(store)
+					fs.SetMutateRead(func(name string, data []byte) []byte {
+						if name != cut || len(data) < 40 {
+							return data
+						}
+						return data[:len(data)-40]
+					})
+					st = fs
+				}
+				name := fmt.Sprintf("%s/filter=%v/cut=%q", w.Name, filter, cut)
+				live, lerr := stream.New(st, stream.Config{}).Run(context.Background())
+				post, perr := core.New(st, core.Config{}).AnalyzeContext(context.Background())
+				if fmt.Sprint(lerr) != fmt.Sprint(perr) {
+					t.Errorf("%s: errors differ: live %v, post-mortem %v", name, lerr, perr)
+					continue
+				}
+				if live == nil || post == nil {
+					t.Errorf("%s: missing report: live %v, post-mortem %v", name, live, post)
+					continue
+				}
+				if got, want := sites(live), sites(post); got != want {
+					t.Errorf("%s: races differ:\nlive:\n%spost-mortem:\n%s", name, got, want)
+				}
+				if got, want := structural(live.Stats), structural(post.Stats); got != want {
+					t.Errorf("%s: stats differ:\nlive:        %+v\npost-mortem: %+v", name, got, want)
+				}
+			}
+		}
 	}
 }

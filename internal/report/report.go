@@ -57,11 +57,17 @@ type key struct {
 }
 
 func (r Race) normKey() key {
-	a, b := r.First, r.Second
-	if a.PC > b.PC || (a.PC == b.PC && a.Write && !b.Write) {
-		a, b = b, a
+	n := r.normalized()
+	return key{pcA: n.First.PC, pcB: n.Second.PC, wA: n.First.Write, wB: n.Second.Write}
+}
+
+// normalized returns the race with its sides in key order: lower pc
+// first, and of two sides at one pc the read first.
+func (r Race) normalized() Race {
+	if a, b := r.First, r.Second; a.PC > b.PC || (a.PC == b.PC && a.Write && !b.Write) {
+		r.First, r.Second = b, a
 	}
-	return key{pcA: a.PC, pcB: b.PC, wA: a.Write, wB: b.Write}
+	return r
 }
 
 // Stats captures analysis effort counters for the experiment tables, plus
@@ -152,10 +158,13 @@ type Report struct {
 // New returns an empty report.
 func New() *Report { return &Report{races: make(map[key]*Race)} }
 
-// Add records a race, merging duplicates of the same site pair.
+// Add records a race, merging duplicates of the same site pair. The
+// record keeps its sides in key order, so a race prints the same whichever
+// of its detections arrived first.
 func (r *Report) Add(race Race) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	race = race.normalized()
 	k := race.normKey()
 	if existing, ok := r.races[k]; ok {
 		existing.Count += max(race.Count, 1)

@@ -26,6 +26,26 @@ func TestAddDeduplicatesUnorderedPairs(t *testing.T) {
 	}
 }
 
+// TestAddOrientsSides: the record's sides are in key order whichever
+// orientation the first detection arrived in, so a race prints the same
+// whether a live round or the post-mortem pass found it first.
+func TestAddOrientsSides(t *testing.T) {
+	w := Side{PC: 2, Source: "w.go:2", Write: true}
+	rd := Side{PC: 1, Source: "r.go:1"}
+	same := Side{PC: 3, Source: "s.go:3"}
+	sameW := Side{PC: 3, Source: "s.go:3", Write: true}
+	for _, tc := range []struct{ first, second, wantFirst Side }{
+		{w, rd, rd}, {rd, w, rd}, // lower pc first
+		{sameW, same, same}, {same, sameW, same}, // one pc: the read first
+	} {
+		r := New()
+		r.Add(Race{First: tc.first, Second: tc.second, Addr: 0x10})
+		if got := r.Races()[0]; got.First != tc.wantFirst {
+			t.Errorf("Add(%v, %v) stored %v first, want %v", tc.first, tc.second, got.First, tc.wantFirst)
+		}
+	}
+}
+
 func TestDistinctPairsKept(t *testing.T) {
 	r := New()
 	w := Side{PC: 1, Source: "w", Write: true}

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"sword/internal/obs"
 	"sword/internal/stream"
 )
 
@@ -195,22 +196,27 @@ func (s *Server) saveFile(u *uploadSession, name string, r io.Reader) error {
 	return cerr
 }
 
-// abortUpload tears a session down and refunds its admission charges.
-// The refund happens only if this call is the one that removes the
-// session from s.uploads: two racing aborts (or an abort racing a
-// commit, or the error paths of concurrent PUTs) refund exactly once, so
-// the admission accounting cannot be driven negative.
-func (s *Server) abortUpload(u *uploadSession) {
+// abortUpload tears a session down and refunds its admission charges,
+// and reports whether this call did it. The refund happens only if this
+// call is the one that removes the session from s.uploads: two racing
+// aborts (or an abort racing a commit, or the error paths of concurrent
+// PUTs) refund exactly once, so the admission accounting cannot be driven
+// negative. count, when non-nil, is incremented in the same critical
+// section that removes the session, so whoever sees it gone sees it
+// counted.
+func (s *Server) abortUpload(u *uploadSession, count *obs.Counter) bool {
 	s.mu.Lock()
 	if _, live := s.uploads[u.id]; !live {
 		s.mu.Unlock()
-		return
+		return false
 	}
 	delete(s.uploads, u.id)
 	s.refundLocked(u.tenant, u.bytes)
+	count.Inc()
 	s.mu.Unlock()
 	u.stopLive()
 	os.RemoveAll(u.dir)
+	return true
 }
 
 // commitUpload turns a completed session into a queued job, returning a

@@ -88,14 +88,14 @@ func (s *Server) handleMultipart(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if err := s.saveFile(u, part.FileName(), part); err != nil {
-			s.abortUpload(u)
+			s.abortUpload(u, nil)
 			shed(w, err)
 			return
 		}
 		files++
 	}
 	if files == 0 {
-		s.abortUpload(u)
+		s.abortUpload(u, nil)
 		http.Error(w, "upload carried no trace files", http.StatusBadRequest)
 		return
 	}
@@ -146,7 +146,7 @@ func (s *Server) handleUploadFile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.saveFile(u, r.PathValue("name"), r.Body); err != nil {
-		s.abortUpload(u)
+		s.abortUpload(u, nil)
 		shed(w, err)
 		return
 	}
@@ -173,7 +173,7 @@ func (s *Server) handleUploadAbort(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no such upload session", http.StatusNotFound)
 		return
 	}
-	s.abortUpload(u)
+	s.abortUpload(u, nil)
 	w.WriteHeader(http.StatusNoContent)
 }
 

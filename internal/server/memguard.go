@@ -63,29 +63,46 @@ func (s *Server) memGuard() {
 // JobTTL from memory and DataDir, bounding an always-on server's growth
 // as jobs complete.
 func (s *Server) reap(now time.Time) {
+	s.expireUploads(s.staleUploads(now))
 	s.mu.Lock()
+	var prune []*Job
+	for _, j := range s.jobs {
+		if j.terminal() && !j.FinishedAt.IsZero() && now.Sub(j.FinishedAt) > s.cfg.JobTTL {
+			prune = append(prune, j)
+		}
+	}
+	s.mu.Unlock()
+	for _, j := range prune {
+		// The directory goes first and the record last, counted under
+		// s.mu: whoever sees the job gone sees its directory gone and the
+		// prune counted. A terminal job never changes state again.
+		os.RemoveAll(j.dir)
+		s.mu.Lock()
+		delete(s.jobs, j.ID)
+		s.m.Counter("server.jobs_pruned").Inc()
+		s.mu.Unlock()
+	}
+}
+
+// staleUploads lists the upload sessions idle past UploadTimeout at now.
+func (s *Server) staleUploads(now time.Time) []*uploadSession {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var stale []*uploadSession
 	for _, u := range s.uploads {
 		if now.Sub(u.lastActive) > s.cfg.UploadTimeout {
 			stale = append(stale, u)
 		}
 	}
-	var prune []*Job
-	for id, j := range s.jobs {
-		if j.terminal() && !j.FinishedAt.IsZero() && now.Sub(j.FinishedAt) > s.cfg.JobTTL {
-			delete(s.jobs, id)
-			prune = append(prune, j)
-		}
-	}
-	s.mu.Unlock()
+	return stale
+}
+
+// expireUploads aborts stale sessions and counts into
+// server.uploads_expired each one the abort removed: a session committed
+// or aborted since it was listed is neither torn down nor counted.
+func (s *Server) expireUploads(stale []*uploadSession) {
+	expired := s.m.Counter("server.uploads_expired")
 	for _, u := range stale {
-		// abortUpload re-checks liveness, so racing a late commit or an
-		// explicit client abort refunds once, not twice.
-		s.abortUpload(u)
-		s.m.Counter("server.uploads_expired").Inc()
-	}
-	for _, j := range prune {
-		os.RemoveAll(j.dir)
-		s.m.Counter("server.jobs_pruned").Inc()
+		s.abortUpload(u, expired)
 	}
 }

@@ -32,7 +32,7 @@ func TestAbortRefundsExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.abortUpload(u)
+			s.abortUpload(u, nil)
 		}()
 	}
 	wg.Wait()
@@ -60,7 +60,7 @@ func TestAbortAfterCommitDoesNotRefund(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.abortUpload(u) // stale handle: must be a no-op
+	s.abortUpload(u, nil) // stale handle: must be a no-op
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -93,7 +93,7 @@ func TestSaveFileAfterAbortRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.abortUpload(u)
+	s.abortUpload(u, nil)
 	if err := s.saveFile(u, "sword_0.log", strings.NewReader("junk")); err == nil {
 		t.Fatal("saveFile on an aborted session succeeded")
 	}
@@ -156,6 +156,42 @@ func TestUploadSessionExpires(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(s.cfg.DataDir, "jobs", sess.ID)); !os.IsNotExist(err) {
 		t.Fatalf("expired session directory survived: %v", err)
+	}
+}
+
+// TestCommitDuringReapNotExpired commits a session after the reaper has
+// listed it as stale but before it tears it down: the commit wins, the
+// job and its directory survive, and nothing is counted as expired.
+func TestCommitDuringReapNotExpired(t *testing.T) {
+	m := obs.New()
+	s := newTestServer(t, WithObs(m))
+	u, err := s.newUpload("t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.saveFile(u, "sword_0.log", strings.NewReader("junk")); err != nil {
+		t.Fatal(err)
+	}
+	stale := s.staleUploads(time.Now().Add(24 * time.Hour))
+	if len(stale) != 1 || stale[0] != u {
+		t.Fatalf("premise: want the session listed as stale, got %d", len(stale))
+	}
+	j, err := s.commitUpload(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.expireUploads(stale)
+	if s.abortUpload(u, nil) {
+		t.Fatal("abortUpload reported removing a committed session")
+	}
+	if n := m.Counter("server.uploads_expired").Load(); n != 0 {
+		t.Fatalf("a session committed while the reaper ran was counted as expired (%d)", n)
+	}
+	if s.lookupJob(j.ID) == nil {
+		t.Fatal("the committed job was torn down")
+	}
+	if _, err := os.Stat(u.dir); err != nil {
+		t.Fatalf("the committed job's directory was removed: %v", err)
 	}
 }
 

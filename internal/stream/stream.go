@@ -15,11 +15,13 @@
 // Sealed groups are handed to core.LiveAnalyzer, which compares their
 // same-group interval pairs immediately with the persistent sweep engine
 // and frees the trees afterwards — the active frontier of the analysis
-// stays bounded while the trace grows without bound. Cross-region pairs
-// (which depend on task windows written only at collector close) are
-// completed by the finalize pass at end of run, which skips every pair the
-// live rounds already decided; the reported race set is therefore
-// identical to a post-mortem analysis by construction.
+// stays bounded while the trace grows without bound. Once the run has
+// ended every remaining group seals. Cross-region pairs (which depend on
+// task windows written only at collector close) are completed by the
+// finalize pass, which builds and decodes only the intervals of pairs no
+// live round decided and accounts for the rest from what the rounds
+// recorded; the reported race set and statistics are therefore identical
+// to a post-mortem analysis by construction.
 //
 // End of run is detected by the appearance of the pc-table auxiliary
 // file, which the collector writes last; a crashed run never produces it,
@@ -34,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -174,18 +177,15 @@ func (m mark) less(o mark) bool {
 	return m.bid < o.bid || (m.bid == o.bid && m.pos < o.pos)
 }
 
-// raceKey mirrors the report's dedup identity, for the OnRace diff.
+// raceKey mirrors the report's dedup identity, for the OnRace diff. The
+// report stores each race's sides in key order, so no reordering is needed.
 type raceKey struct {
 	pcA, pcB uint64
 	wA, wB   bool
 }
 
 func keyOfRace(r report.Race) raceKey {
-	a, b := r.First, r.Second
-	if a.PC > b.PC || (a.PC == b.PC && a.Write && !b.Write) {
-		a, b = b, a
-	}
-	return raceKey{pcA: a.PC, pcB: b.PC, wA: a.Write, wB: b.Write}
+	return raceKey{pcA: r.First.PC, pcB: r.Second.PC, wA: r.First.Write, wB: r.Second.Write}
 }
 
 // New returns a streaming analyzer over store.
@@ -264,7 +264,7 @@ func (a *Analyzer) Run(ctx context.Context) (*report.Report, error) {
 		// atomically, so a drain that starts after the table is present
 		// sees every record of the run.
 		done := a.endMarker()
-		progress, err := a.round(ctx)
+		progress, err := a.round(ctx, done)
 		if err != nil {
 			if ctx.Err() != nil {
 				return a.Snapshot(), ctx.Err()
@@ -300,8 +300,10 @@ func (a *Analyzer) endMarker() bool {
 
 // round is one poll-drain-seal-analyze cycle. It returns whether anything
 // advanced (new records, new log bytes, or an analysis step ran); an error
-// means real corruption or I/O failure, never an in-progress append.
-func (a *Analyzer) round(ctx context.Context) (bool, error) {
+// means real corruption or I/O failure, never an in-progress append. ended
+// says the end-of-run marker was present before the drain started: the
+// drain then reads every record of the run, so every group is sealed.
+func (a *Analyzer) round(ctx context.Context, ended bool) (bool, error) {
 	a.mRounds.Inc()
 	a.roundNum++
 	// Seal with the evidence snapshot from *before* this drain: every poll
@@ -317,7 +319,7 @@ func (a *Analyzer) round(ctx context.Context) (bool, error) {
 	if err != nil {
 		return progress, err
 	}
-	ready := a.sealedReady(prevMax)
+	ready := a.sealedReady(prevMax, ended)
 	if len(ready) > 0 {
 		if err := a.step(ctx, ready); err != nil {
 			return true, err
@@ -532,15 +534,16 @@ func (a *Analyzer) chainPresent(pid uint64) bool {
 
 // sealedReady lists the groups that can be analyzed now: sealed by the
 // evidence snapshot (a later interval of the same region, or a join of
-// the region or an ancestor), ancestor chains present, and every
-// fragment's data behind its slot's committed logical frontier.
-func (a *Analyzer) sealedReady(prevMax map[uint64]uint64) []core.IntervalGroup {
+// the region or an ancestor) or by the end of the run, ancestor chains
+// present, and every fragment's data behind its slot's committed logical
+// frontier.
+func (a *Analyzer) sealedReady(prevMax map[uint64]uint64, ended bool) []core.IntervalGroup {
 	var ready []core.IntervalGroup
 	for g, gs := range a.groups {
 		if a.analyzed[g] || !a.chainPresent(g.PID) {
 			continue
 		}
-		if prevMax[g.PID] <= g.BID && !a.joinedChain(g.PID) {
+		if !ended && prevMax[g.PID] <= g.BID && !a.joinedChain(g.PID) {
 			continue
 		}
 		ok := true
@@ -623,10 +626,14 @@ func (a *Analyzer) assembleInputs(target map[core.IntervalGroup]bool) []core.Slo
 	sort.Ints(slots)
 	inputs := make([]core.SlotRecords, 0, len(slots))
 	for _, slot := range slots {
-		in := core.SlotRecords{Slot: slot}
-		for _, m := range a.recs[slot] {
-			if a.chainPresent(m.PID) {
-				in.Metas = append(in.Metas, m)
+		in := core.SlotRecords{Slot: slot, Metas: a.recs[slot]}
+		if i := slices.IndexFunc(in.Metas, func(m trace.Meta) bool { return !a.chainPresent(m.PID) }); i >= 0 {
+			// Copy only when some record must be left out.
+			in.Metas = slices.Clone(in.Metas[:i])
+			for _, m := range a.recs[slot][i+1:] {
+				if a.chainPresent(m.PID) {
+					in.Metas = append(in.Metas, m)
+				}
 			}
 		}
 		for _, pc := range a.certs {
@@ -677,9 +684,6 @@ func (a *Analyzer) publishFrontier() {
 	a.mFrontierPeak.SetMax(frontier)
 }
 
-// finalize completes the analysis over the now-finished trace: the full
-// post-mortem pass minus every pair the live rounds already decided. The
-// result — races, stats, notes — matches a pure post-mortem run.
 // closeTails releases every slot's tailing reader (LogTail holds the log
 // file open between polls). Idempotent.
 func (a *Analyzer) closeTails() {
@@ -688,16 +692,43 @@ func (a *Analyzer) closeTails() {
 	}
 }
 
+// finalize completes the analysis over the now-finished trace: the live
+// analyzer builds and compares only what no round settled — the deferred
+// cross-region and task pairs, and any group that never sealed — from the
+// records the tails delivered. The result — races, stats, notes — matches
+// a pure post-mortem run.
 func (a *Analyzer) finalize(ctx context.Context) (*report.Report, error) {
 	a.closeTails()
+	inputs := a.finalInputs()
 	a.mu.Lock()
-	rep, err := a.live.Finalize(ctx, a.store)
+	rep, err := a.live.Finalize(ctx, a.store, inputs)
 	a.mu.Unlock()
 	if rep == nil {
 		return nil, err // a damaged trace still has its partial report
 	}
 	a.reportNewRaces()
 	return rep, err
+}
+
+// finalInputs is every slot's records and certificates, in file order,
+// with the meta tail's verdict on what follows them: a torn last frame
+// reads as truncated meta, as it does post-mortem.
+func (a *Analyzer) finalInputs() []core.SlotRecords {
+	slots := make([]int, 0, len(a.slots))
+	for slot := range a.slots {
+		slots = append(slots, slot)
+	}
+	sort.Ints(slots)
+	inputs := make([]core.SlotRecords, len(slots))
+	for i, slot := range slots {
+		inputs[i] = core.SlotRecords{Slot: slot, Metas: a.recs[slot], Err: a.slots[slot].meta.End()}
+		for _, pc := range a.certs {
+			if pc.slot == slot {
+				inputs[i].Certs = append(inputs[i].Certs, pc.cert)
+			}
+		}
+	}
+	return inputs
 }
 
 // salvageFallback is the corruption path: the live structure is abandoned

@@ -214,8 +214,9 @@ func TestSingleIntervalRegionsSealLive(t *testing.T) {
 }
 
 // TestFinishedStore streams over a store whose run already completed: the
-// end marker is present from the first poll, so everything lands in the
-// finalize pass — and still matches post-mortem output exactly.
+// end marker is present from the first poll, so the first round seals and
+// steps every group and the finalize pass has only deferred pairs left —
+// here none — and the result still matches post-mortem output exactly.
 func TestFinishedStore(t *testing.T) {
 	store := trace.NewMemStore()
 	col := rt.New(store, rt.Config{Synchronous: true, MaxEvents: 64})

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -505,7 +506,10 @@ func (r *LogReader) NextInto(dst []byte, skip func(start, rawLen uint64) bool) (
 		if err != nil {
 			return 0, nil, r.fail(blockOff, err.Error(), nil)
 		}
-		raw, err := codec.Decompress(dst[:0], r.comp, int(rawLen))
+		// Size dst for the whole block up front: growing it by append
+		// would leave a chain of garbage buffers behind on every block
+		// that outgrows it.
+		raw, err := codec.Decompress(slices.Grow(dst[:0], int(rawLen)), r.comp, int(rawLen))
 		if err != nil {
 			return 0, nil, r.fail(blockOff, err.Error(), nil)
 		}

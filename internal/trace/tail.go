@@ -34,6 +34,7 @@ type MetaTail struct {
 	buf     []byte // undecoded remainder carried between polls
 	version int    // 0 until enough bytes landed to detect
 	records int
+	metas   int // records that were interval metas (not extensions)
 }
 
 // NewMetaTail returns a tail over the meta file of a thread slot. The
@@ -102,6 +103,7 @@ func (t *MetaTail) Poll() ([]Meta, []LoopCert, error) {
 				return metas, certs, fmt.Errorf("trace: tail meta slot %d, record %d: %w", t.slot, t.records, err)
 			}
 			metas = append(metas, m)
+			t.metas++
 		case metaExt:
 			// Extension record: uvarint record type, then a type-specific
 			// payload. Unknown types are skipped by the length framing.
@@ -122,6 +124,33 @@ func (t *MetaTail) Poll() ([]Meta, []LoopCert, error) {
 	}
 	t.buf = t.buf[pos:]
 	return metas, certs, nil
+}
+
+// End is what a post-mortem read of the meta file would report beyond
+// the records Poll delivered, once the writer is done: nil when every
+// durable byte formed a committed record, the open error when the file
+// never appeared, and otherwise the torn frame at the end as a
+// *SalvageReport worded as ReadAllMetaCerts words it.
+func (t *MetaTail) End() error {
+	switch {
+	case t.read == 0:
+		src, err := t.store.OpenMeta(t.slot)
+		if err != nil {
+			return err
+		}
+		return src.Close()
+	case len(t.buf) == 0:
+		return nil
+	case t.version == 0:
+		// Fewer bytes than the magic ever landed: they are the whole file.
+		_, _, rep := decodeAllMetaCerts(t.buf)
+		return rep.Err()
+	}
+	_, _, _, err := decodeV2Frame(t.buf)
+	rep := &SalvageReport{Truncated: true, IntactRecords: t.metas}
+	rep.add(SalvageEntry{Block: t.metas, Offset: uint64(t.read) - uint64(len(t.buf)),
+		Cause: fmt.Sprintf("%v (%d intact record(s) before it)", err, t.metas)})
+	return rep
 }
 
 // skipConsumed advances a freshly opened reader past the bytes a previous
